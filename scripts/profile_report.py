@@ -5,11 +5,11 @@ Runs a workload with span tracing enabled, then writes next to each other:
 
 * ``trace.json`` — Chrome trace-event JSON (load in Perfetto or
   ``chrome://tracing``),
-* ``breakdown.json`` — per-invocation phase attribution plus p50/p95/p99
-  aggregates,
-* ``critpath.json`` — per-invocation critical-path resource attribution
-  (queue / wire / serialization / gpu_compute / object_store / cpu) and
-  the top-bottleneck-by-workload table,
+* ``critpath.json`` — one analysis row per invocation: critical-path
+  resource attribution (queue / wire / serialization / gpu_compute /
+  object_store / cpu), the phase split and its coverage, the RPC call
+  mix; p50/p95/p99 aggregates per phase and per resource, and the
+  top-bottleneck-by-workload table,
 * ``flame.folded`` (with ``--flame``, default on) — folded critical-path
   stacks, loadable in speedscope or FlameGraph's ``flamegraph.pl``,
 * ``alerts.json`` — the SLO engine's alert transition log,
@@ -19,22 +19,15 @@ It also *validates* the trace: every invocation's root span must equal
 its measured end-to-end latency, and both the phase spans and the
 critical path must attribute at least ``--min-coverage`` of that time.
 A violation exits non-zero, which makes this script double as the
-observability smoke test in ``scripts/verify.sh``.
-
-With ``--sharded DIR`` it switches roles: instead of running anything it
-inspects a flight-recorder bundle written by ``scripts/shard_report.py``
-(or ``repro.obs.flight.write_flight_bundle``), prints the manifest
-summary, and validates the bundle end to end — a directory missing the
-per-shard payloads (no manifest, missing ``records.json``/``trace.json``,
-digest mismatch) exits non-zero with a readable problem list, never a
-traceback.
+observability smoke test in ``scripts/verify.sh``.  (Flight-recorder
+bundles from sharded runs are validated by
+``scripts/shard_report.py --validate DIR``.)
 
 Usage::
 
     python scripts/profile_report.py --workload kmeans --out-dir /tmp/prof
     python scripts/profile_report.py --mixed --copies 3 --min-coverage 0.95
     python scripts/profile_report.py --mixed --flame /tmp/prof/flame.folded
-    python scripts/profile_report.py --sharded /tmp/flight
 """
 
 from __future__ import annotations
@@ -51,13 +44,10 @@ from repro.experiments.runner import (
     run_single_invocation_traced,
 )
 from repro.obs import (
-    aggregate_breakdowns,
     bottleneck_table,
-    breakdown_table_rows,
     critpath_report,
     dump_folded,
     folded_stacks,
-    invocation_breakdowns,
 )
 from repro.workloads import ALL_WORKLOAD_NAMES
 
@@ -71,53 +61,12 @@ def _validate(rows: list[dict], min_coverage: float) -> list[str]:
                 f"{label}: root span {row['e2e_s']:.6f}s != measured "
                 f"e2e {row['measured_e2e_s']:.6f}s"
             )
-        if row["coverage"] < min_coverage:
+        if row["phase_coverage"] < min_coverage:
             problems.append(
-                f"{label}: phase coverage {row['coverage']:.3f} "
+                f"{label}: phase coverage {row['phase_coverage']:.3f} "
                 f"< required {min_coverage}"
             )
     return problems
-
-
-def _sharded_report(bundle_dir: Path, min_coverage: float) -> int:
-    """Summarize + validate a flight-recorder bundle; 0 = valid."""
-    from repro.obs import validate_flight_bundle
-
-    manifest_path = bundle_dir / "manifest.json"
-    if not bundle_dir.is_dir() or not manifest_path.is_file():
-        print(f"not a flight-recorder bundle: {bundle_dir} has no "
-              f"manifest.json — expected a directory written by "
-              f"scripts/shard_report.py (run_sharded with tracing=True)",
-              file=sys.stderr)
-        return 1
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"unreadable manifest.json in {bundle_dir}: {exc}",
-              file=sys.stderr)
-        return 1
-
-    print(f"bundle:  {bundle_dir}")
-    print(f"run:     {manifest.get('num_shards')} shard(s) x "
-          f"{manifest.get('total_groups')} group(s), "
-          f"mode={manifest.get('mode')}, "
-          f"lookahead_s={manifest.get('lookahead_s')}")
-    print(f"volume:  {manifest.get('events_processed'):,} events, "
-          f"{manifest.get('n_epochs'):,} epochs, "
-          f"{manifest.get('n_envelopes')} envelope(s), "
-          f"{manifest.get('n_span_records'):,} spans, "
-          f"{manifest.get('n_alerts')} alert(s)")
-
-    problems = validate_flight_bundle(bundle_dir, min_coverage=min_coverage)
-    if problems:
-        print(f"\nsharded bundle validation FAILED "
-              f"({len(problems)} problem(s)):", file=sys.stderr)
-        for p in problems:
-            print(f"  - {p}", file=sys.stderr)
-        return 1
-    print(f"\nsharded bundle validation OK: trace digest "
-          f"{manifest['trace_digest']:#x}, coverage >= {min_coverage}")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -148,13 +97,7 @@ def main(argv=None) -> int:
                              "<out-dir>/flame.folded); pass --no-flame to skip")
     parser.add_argument("--no-flame", action="store_true",
                         help="skip the folded flamegraph export")
-    parser.add_argument("--sharded", metavar="DIR", default=None,
-                        help="summarize + validate a flight-recorder bundle "
-                             "from a sharded run instead of tracing anything")
     args = parser.parse_args(argv)
-
-    if args.sharded is not None:
-        return _sharded_report(Path(args.sharded), args.min_coverage)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -180,24 +123,19 @@ def main(argv=None) -> int:
 
     trace_path = out_dir / "trace.json"
     dep.tracer.dump_chrome(trace_path)
-    rows = invocation_breakdowns(dep.tracer, invocations)
-    aggregate = aggregate_breakdowns(rows)
-    (out_dir / "breakdown.json").write_text(json.dumps(
-        {"per_invocation": rows, "aggregate": aggregate,
-         "tracer": dep.tracer.summary()},
-        indent=2, sort_keys=True,
-    ))
     (out_dir / "metrics.json").write_text(
         json.dumps(dep.metrics.as_dict(), indent=2, sort_keys=True)
     )
 
-    # critical-path attribution + flamegraph + SLO alert log
+    # per-invocation phases + critical path, flamegraph, SLO alert log
     crit = critpath_report(dep.tracer, invocations,
                            min_coverage=args.min_coverage)
+    rows, aggregate = crit["per_invocation"], crit["aggregate"]
     (out_dir / "critpath.json").write_text(json.dumps(
-        {"per_invocation": crit["per_invocation"],
-         "aggregate": crit["aggregate"],
-         "bottlenecks": bottleneck_table(crit["aggregate"])},
+        {"per_invocation": rows,
+         "aggregate": aggregate,
+         "bottlenecks": bottleneck_table(aggregate),
+         "tracer": dep.tracer.summary()},
         indent=2, sort_keys=True,
     ))
     flame_path = None
@@ -210,7 +148,6 @@ def main(argv=None) -> int:
     ))
 
     print(f"trace:     {trace_path} ({dep.tracer.summary()['spans']} spans)")
-    print(f"breakdown: {out_dir / 'breakdown.json'}")
     print(f"critpath:  {out_dir / 'critpath.json'}")
     if flame_path is not None:
         print(f"flame:     {flame_path} ({n_stacks} stacks)")
@@ -221,15 +158,16 @@ def main(argv=None) -> int:
     header = f"{'workload':<22}{'phase':<16}{'mean_s':>9}{'p50_s':>9}{'p95_s':>9}{'p99_s':>9}"
     print(header)
     print("-" * len(header))
-    for row in breakdown_table_rows(aggregate):
-        print(f"{row['workload']:<22}{row['phase']:<16}"
-              f"{row['mean_s']:>9.4f}{row['p50_s']:>9.4f}"
-              f"{row['p95_s']:>9.4f}{row['p99_s']:>9.4f}")
+    for workload, agg in aggregate.get("workloads", {}).items():
+        for phase, stats in [*agg["phases"].items(), ("e2e", agg["e2e"])]:
+            print(f"{workload:<22}{phase:<16}"
+                  f"{stats['mean']:>9.4f}{stats['p50']:>9.4f}"
+                  f"{stats['p95']:>9.4f}{stats['p99']:>9.4f}")
     print()
     header2 = f"{'workload':<22}{'pct':<6}{'bottleneck':<14}{'seconds':>9}{'share':>8}"
     print(header2)
     print("-" * len(header2))
-    for row in bottleneck_table(crit["aggregate"]):
+    for row in bottleneck_table(aggregate):
         print(f"{row['workload']:<22}{row['percentile']:<6}"
               f"{row['bottleneck']:<14}{row['seconds']:>9.3f}"
               f"{row['share']:>8.3f}")

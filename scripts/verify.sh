@@ -21,6 +21,13 @@ else
     PYTHONPATH=src python -m pytest -x -q "$@"
 fi
 
+echo "== full-stack benchmark smoke (bench/tests) =="
+# Runs every bench/ workload for --seconds 1, untraced and traced: each
+# declared metric is emitted and sim_digest repeats.  This is the only
+# step that imports bench/, which reads repro.obs.critpath and
+# repro.obs.diff.
+PYTHONPATH=src python -m pytest -q bench/tests
+
 echo "== observability smoke (profile_report) =="
 PYTHONPATH=src python scripts/profile_report.py \
     --workload kmeans \
@@ -94,11 +101,11 @@ python scripts/explain_smoke.py "$LLM_OUT" \
 echo "== sharded flight-recorder smoke (shard_report) =="
 # 4-shard process-mode traced run -> one merged flight bundle; the script
 # itself re-validates the bundle (per-shard tracks, records digest,
-# critpath coverage), then profile_report --sharded re-opens it the way a
+# critpath coverage), then shard_report --validate re-opens it the way a
 # CI-artifact consumer would.
 FLIGHT_OUT="${FLIGHT_OUT_DIR:-/tmp/dgsf-flight}"
 PYTHONPATH=src python scripts/shard_report.py --out-dir "$FLIGHT_OUT"
-PYTHONPATH=src python scripts/profile_report.py --sharded "$FLIGHT_OUT"
+PYTHONPATH=src python scripts/shard_report.py --validate "$FLIGHT_OUT"
 
 echo "== sampled flight-recorder smoke (shard_report --sample-rate) =="
 # Same traced run at a 20% head rate: keep/drop decisions ride the
@@ -106,4 +113,4 @@ echo "== sampled flight-recorder smoke (shard_report --sample-rate) =="
 # the merged kept set, and the bundle still validates end to end.
 PYTHONPATH=src python scripts/shard_report.py \
     --out-dir "${FLIGHT_OUT}-sampled" --sample-rate 0.2
-PYTHONPATH=src python scripts/profile_report.py --sharded "${FLIGHT_OUT}-sampled"
+PYTHONPATH=src python scripts/shard_report.py --validate "${FLIGHT_OUT}-sampled"

@@ -137,8 +137,8 @@ class GuestLibrary:
         self._pending: list[PendingReply] = []
         self._deferred_error: Optional[Exception] = None
         # counters live in the (possibly shared) metrics registry, one
-        # labeled instrument per guest; the legacy attribute names below
-        # are read-only views so CommStats/CallTrace keep working
+        # labeled instrument per guest; the attribute names below are
+        # read-only views of them
         self.guest_id = next(_guest_ids)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         c = self.metrics.counter

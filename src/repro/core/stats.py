@@ -20,11 +20,8 @@ __all__ = [
     "WorkloadStats",
     "RunStats",
     "OutcomeSummary",
-    "CommStats",
-    "CacheStats",
     "summarize_invocations",
     "summarize_outcomes",
-    "summarize_caches",
 ]
 
 #: invocation states that mean "the platform is done with it"
@@ -91,7 +88,7 @@ def summarize_invocations(invocations: list[Invocation]) -> RunStats:
     """
     if not invocations:
         raise ValueError("no invocations to summarize")
-    done = [inv for inv in invocations if inv.t_end >= 0]
+    done = [inv for inv in invocations if inv.status == "completed"]
     if not done:
         raise ValueError("no completed invocations")
     provider_e2e = max(i.t_end for i in done) - min(i.t_submit for i in done)
@@ -127,123 +124,6 @@ def summarize_invocations(invocations: list[Invocation]) -> RunStats:
     )
 
 
-@dataclass(frozen=True)
-class CommStats:
-    """Communication-path summary of one guest's lifetime.
-
-    Captures the latency-hiding counters: how deep the pipelined channel
-    ran (``max_in_flight``), how many enqueue-only calls were forwarded
-    asynchronously vs batched, and how many async failures were deferred
-    to (or lost before) a synchronization point.
-    """
-
-    calls_intercepted: int
-    calls_localized: int
-    calls_batched: int
-    calls_async_forwarded: int
-    messages_sent: int
-    max_in_flight: int
-    async_deferred_errors: int
-    async_replies_lost: int
-    rpc_timeouts: int
-    rpc_retries: int
-
-    @classmethod
-    def from_guest(cls, guest) -> "CommStats":
-        return cls(
-            calls_intercepted=guest.calls_intercepted,
-            calls_localized=guest.calls_localized,
-            calls_batched=guest.calls_batched,
-            calls_async_forwarded=guest.calls_async_forwarded,
-            messages_sent=guest.messages_sent,
-            max_in_flight=guest.rpc.max_in_flight,
-            async_deferred_errors=guest.async_deferred_errors,
-            async_replies_lost=guest.async_replies_lost,
-            rpc_timeouts=guest.rpc_timeouts,
-            rpc_retries=guest.rpc_retries,
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "calls_intercepted": self.calls_intercepted,
-            "calls_localized": self.calls_localized,
-            "calls_batched": self.calls_batched,
-            "calls_async_forwarded": self.calls_async_forwarded,
-            "messages_sent": self.messages_sent,
-            "max_in_flight": self.max_in_flight,
-            "async_deferred_errors": self.async_deferred_errors,
-            "async_replies_lost": self.async_replies_lost,
-            "rpc_timeouts": self.rpc_timeouts,
-            "rpc_retries": self.rpc_retries,
-        }
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """Aggregate artifact-cache effectiveness across API servers."""
-
-    hits: int
-    misses: int
-    hit_bytes: int
-    miss_bytes: int
-    evictions: int
-    invalidations: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @classmethod
-    def from_registry(cls, registry, **match) -> "CacheStats":
-        """Aggregate the ``artifact_cache.*`` counters of a
-        :class:`~repro.obs.MetricsRegistry` (optionally filtered by label,
-        e.g. ``server=3``)."""
-        t = registry.total
-        return cls(
-            hits=int(t("artifact_cache.hits", **match)),
-            misses=int(t("artifact_cache.misses", **match)),
-            hit_bytes=int(t("artifact_cache.hit_bytes", **match)),
-            miss_bytes=int(t("artifact_cache.miss_bytes", **match)),
-            evictions=int(t("artifact_cache.evictions", **match)),
-            invalidations=int(t("artifact_cache.invalidations", **match)),
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_bytes": self.hit_bytes,
-            "miss_bytes": self.miss_bytes,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-
-def summarize_caches(api_servers) -> CacheStats:
-    """Sum artifact-cache counters over API servers (caches may be None)."""
-    hits = misses = hit_bytes = miss_bytes = evictions = invalidations = 0
-    for server in api_servers:
-        cache = getattr(server, "artifact_cache", None)
-        if cache is None:
-            continue
-        hits += cache.hits
-        misses += cache.misses
-        hit_bytes += cache.hit_bytes
-        miss_bytes += cache.miss_bytes
-        evictions += cache.evictions
-        invalidations += cache.invalidations
-    return CacheStats(
-        hits=hits,
-        misses=misses,
-        hit_bytes=hit_bytes,
-        miss_bytes=miss_bytes,
-        evictions=evictions,
-        invalidations=invalidations,
-    )
-
-
 @dataclass
 class OutcomeSummary:
     """Terminal-status census of a (possibly faulty) run.
@@ -268,40 +148,6 @@ class OutcomeSummary:
             "mean_completed_e2e_s": round(self.mean_completed_e2e_s, 3),
             "all_terminal": self.all_terminal,
         }
-
-    @classmethod
-    def from_registry(cls, registry, expected_total: "int | None" = None) -> "OutcomeSummary":
-        """Build the census from ``invocation.*`` metrics instead of the
-        invocation list.
-
-        The platform only publishes *terminal* invocations, so a wedged
-        function is invisible here unless ``expected_total`` (how many
-        invocations were submitted) is given — then the shortfall is
-        reported as non-terminal.
-        """
-        counts: dict[str, int] = {}
-        for metric in registry.find("invocation.status"):
-            status = metric.labels.get("status", "unknown")
-            counts[status] = counts.get(status, 0) + int(metric.value)
-        seen = sum(counts.values())
-        total = expected_total if expected_total is not None else seen
-        stuck = total - seen
-        completed_obs = [
-            obs
-            for h in registry.find("invocation.e2e_s", status="completed")
-            for obs in h.observations
-        ]
-        completed = counts.get("completed", 0)
-        return cls(
-            counts=counts,
-            total=total,
-            completion_rate=(completed / total) if total else 0.0,
-            mean_completed_e2e_s=(
-                float(np.mean(completed_obs)) if completed_obs else 0.0
-            ),
-            all_terminal=stuck == 0
-            and all(s in TERMINAL_STATUSES for s in counts),
-        )
 
 
 def summarize_outcomes(invocations: list[Invocation]) -> OutcomeSummary:

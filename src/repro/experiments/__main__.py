@@ -41,7 +41,7 @@ def run_one(name: str, seed: int, copies: int, trace_dir: str = None) -> None:
         _print_rows("Figure 4 — ablation (s)",
                      fig4.run(seed=seed, trace_dir=trace_dir))
         if trace_dir:
-            print(f"[trace + breakdown artifacts in {trace_dir}]\n",
+            print(f"[trace + critpath artifacts in {trace_dir}]\n",
                   file=sys.stderr)
     elif name == "table3":
         _print_rows("Table III — heavy load (s)", table3.run(seed=seed, copies=copies))
@@ -108,7 +108,7 @@ def main(argv=None) -> None:
     parser.add_argument("--copies", type=int, default=10,
                         help="instances per workload (bursts for fig7)")
     parser.add_argument("--trace-dir", default=None,
-                        help="export Chrome trace + latency-breakdown JSON "
+                        help="export Chrome trace + critical-path/phase JSON "
                              "artifacts here (fig4 only)")
     args = parser.parse_args(argv)
     names = EXPERIMENTS if args.experiment == "all" else [args.experiment]

@@ -120,8 +120,8 @@ def run(seed: int = 0, copies: int = 2) -> list[dict]:
             "p50_share": round(p50_stats["share_p50"], 3),
             "bottleneck_p95": top["p95"],
             "p95_share": round(p95_stats["share_p95"], 3),
-            "e2e_p50_s": round(agg["e2e_p50_s"], 2),
-            "e2e_p95_s": round(agg["e2e_p95_s"], 2),
+            "e2e_p50_s": round(agg["e2e"]["p50"], 2),
+            "e2e_p95_s": round(agg["e2e"]["p95"], 2),
             "coverage_min": round(agg["coverage_min"], 4),
         })
     return table

@@ -27,7 +27,7 @@ from typing import Optional
 from repro.core.config import DgsfConfig, OptimizationFlags
 from repro.core.deployment import DgsfDeployment
 from repro.experiments.runner import build_deployment
-from repro.obs import aggregate_breakdowns, invocation_breakdowns
+from repro.obs import aggregate_critpaths, invocation_critpaths
 from repro.workloads import WORKLOADS, register_workloads
 
 __all__ = ["run", "ABLATION_STEPS"]
@@ -54,15 +54,15 @@ def _gpu_time(inv) -> float:
 
 
 def _dump_trace(dep, inv, trace_dir: Path, stem: str) -> None:
-    """Export the step's Chrome trace + latency breakdown artifacts."""
+    """Export the step's Chrome trace + critical-path/phase artifacts."""
     dep.tracer.dump_chrome(trace_dir / f"{stem}.trace.json")
-    breakdowns = invocation_breakdowns(dep.tracer, [inv])
+    rows = invocation_critpaths(dep.tracer, [inv])
     payload = {
-        "per_invocation": breakdowns,
-        "aggregate": aggregate_breakdowns(breakdowns),
+        "per_invocation": rows,
+        "aggregate": aggregate_critpaths(rows),
         "tracer": dep.tracer.summary(),
     }
-    (trace_dir / f"{stem}.breakdown.json").write_text(
+    (trace_dir / f"{stem}.critpath.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True)
     )
 
@@ -73,9 +73,10 @@ def run(workloads: Optional[list[str]] = None, seed: int = 0,
 
     With ``trace_dir`` set, every (workload, step) run executes with span
     tracing on and exports ``<workload>_<step>.trace.json`` (Chrome
-    trace-event format, Perfetto-loadable) plus a latency-breakdown JSON
-    next to it.  Tracing never perturbs the simulated timeline, so the
-    reported numbers are identical either way.
+    trace-event format, Perfetto-loadable) plus a ``.critpath.json``
+    (phase split and critical-path attribution) next to it.  Tracing
+    never perturbs the simulated timeline, so the reported numbers are
+    identical either way.
     """
     tracing = trace_dir is not None
     if tracing:

@@ -11,13 +11,15 @@ wall time; this module sweeps the tree to produce:
 * :func:`critical_path` — the ordered list of :class:`PathSegment`\\ s
   (time interval, covering span stack, attributed resource) for one
   invocation's trace,
-* :func:`invocation_critpaths` — one attribution row per invocation:
+* :func:`invocation_critpaths` — the one analysis row per invocation:
   seconds per resource (queue / wire / serialization / gpu_compute /
   object_store / cpu), the dominant resource, and coverage (fraction of
-  root wall time explained by non-root spans — the same >= 95% bar the
-  latency-breakdown report enforces),
-* :func:`aggregate_critpaths` + :func:`bottleneck_table` — "top
-  bottleneck by workload x percentile" rollups,
+  root wall time explained by non-root spans; the bar is >= 95%), next
+  to the phase split (download, cuda_init, gpu_queue, model_load,
+  processing, ...), its phase coverage and the RPC call mix,
+* :func:`aggregate_critpaths` + :func:`bottleneck_table` — per-phase and
+  per-resource percentiles and "top bottleneck by workload x
+  percentile" rollups,
 * :func:`folded_stacks` / :func:`dump_folded` — a folded flamegraph
   export (``stack;frames;joined value``) loadable in speedscope or
   FlameGraph's ``flamegraph.pl``.
@@ -48,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs.metrics import _percentile
+from repro.obs.metrics import percentile
 
 __all__ = [
     "RESOURCES",
@@ -187,15 +189,26 @@ def critical_path(records, root=None) -> list[PathSegment]:
 
 
 def invocation_critpaths(tracer, invocations=None) -> list[dict]:
-    """One resource-attribution row per root ``invocation`` span.
+    """One analysis row per root ``invocation`` span.
 
-    ``invocations`` (optional) restricts/orders the rows via ``trace_id``,
-    exactly like :func:`repro.obs.report.invocation_breakdowns`.
+    Besides the critical-path attribution, each row carries the phase
+    split (``phases``: seconds per ``phase`` child of the root),
+    ``phase_coverage`` (the fraction of the root those phases account
+    for) and ``rpc_mix`` (``rpc:*`` span count per name).  Only
+    ``tracer.by_trace()`` is read, so frozen records can stand in for a
+    live tracer.
+
+    ``invocations`` (optional) restricts/orders the rows to the given
+    :class:`~repro.faas.platform.Invocation` records via their
+    ``trace_id`` and adds ``measured_e2e_s`` plus ``e2e_matches_span``:
+    whether the root span equals the invocation's measured ``e2e_s``.
     """
     by_trace = tracer.by_trace()
+    inv_by_trace = {}
     if invocations is not None:
-        trace_ids = [inv.trace_id for inv in invocations
-                     if getattr(inv, "trace_id", None) in by_trace]
+        inv_by_trace = {inv.trace_id: inv for inv in invocations
+                        if getattr(inv, "trace_id", None) in by_trace}
+        trace_ids = list(inv_by_trace)
     else:
         trace_ids = sorted(by_trace)
     rows = []
@@ -211,10 +224,19 @@ def invocation_critpaths(tracer, invocations=None) -> list[dict]:
             resources[seg.resource] += seg.duration_s
             if len(seg.stack) > 1:
                 covered += seg.duration_s
+        phases: dict[str, float] = {}
+        rpc_mix: dict[str, int] = {}
+        for r in records:
+            if r.ph != "X":
+                continue
+            if r.cat == "phase" and r.parent_id == root.span_id:
+                phases[r.name] = phases.get(r.name, 0.0) + r.duration_s
+            elif r.cat == "rpc":
+                rpc_mix[r.name] = rpc_mix.get(r.name, 0) + 1
         duration = root.duration_s
         attributed = sum(resources.values())
         dominant = max(RESOURCES, key=lambda name: resources[name])
-        rows.append({
+        row = {
             "trace_id": trace_id,
             "invocation_id": root.args.get("invocation_id"),
             "workload": root.args.get("workload", root.name),
@@ -222,19 +244,35 @@ def invocation_critpaths(tracer, invocations=None) -> list[dict]:
             "e2e_s": duration,
             "resources": resources,
             "attributed_s": attributed,
-            # non-root spans must explain >= 95% of wall time (the same
-            # bar the phase-breakdown report enforces)
+            # non-root spans must explain >= 95% of wall time
             "coverage": covered / duration if duration > 0 else 1.0,
             "dominant": dominant,
             "dominant_share": resources[dominant] / duration if duration > 0 else 0.0,
             "segments": len(segments),
-        })
+            "phases": phases,
+            "phase_coverage": (sum(phases.values()) / duration
+                               if duration > 0 else 1.0),
+            "rpc_mix": rpc_mix,
+        }
+        inv = inv_by_trace.get(trace_id)
+        if inv is not None:
+            row["measured_e2e_s"] = inv.e2e_s
+            row["e2e_matches_span"] = abs(inv.e2e_s - duration) < 1e-9
+        rows.append(row)
     return rows
 
 
-def _resource_stats(rows: list[dict]) -> dict:
+def _series_stats(values: list[float]) -> dict:
+    return {
+        "mean": sum(values) / len(values),
+        "p50": percentile(values, 50),
+        "p95": percentile(values, 95),
+        "p99": percentile(values, 99),
+    }
+
+
+def _aggregate(rows: list[dict]) -> dict:
     per_resource = {}
-    e2es = [row["e2e_s"] for row in rows]
     for name in RESOURCES:
         seconds = [row["resources"][name] for row in rows]
         shares = [
@@ -243,37 +281,44 @@ def _resource_stats(rows: list[dict]) -> dict:
         ]
         per_resource[name] = {
             "mean_s": sum(seconds) / len(seconds),
-            "p50_s": _percentile(seconds, 50),
-            "p95_s": _percentile(seconds, 95),
+            "p50_s": percentile(seconds, 50),
+            "p95_s": percentile(seconds, 95),
             "share_mean": sum(shares) / len(shares),
-            "share_p50": _percentile(shares, 50),
-            "share_p95": _percentile(shares, 95),
+            "share_p50": percentile(shares, 50),
+            "share_p95": percentile(shares, 95),
         }
     top = {
         "mean": max(RESOURCES, key=lambda n: per_resource[n]["mean_s"]),
         "p50": max(RESOURCES, key=lambda n: per_resource[n]["p50_s"]),
         "p95": max(RESOURCES, key=lambda n: per_resource[n]["p95_s"]),
     }
+    # a phase's series holds only the invocations that ran that phase
+    phase_series: dict[str, list[float]] = {}
+    for row in rows:
+        for name, seconds in row["phases"].items():
+            phase_series.setdefault(name, []).append(seconds)
     return {
         "count": len(rows),
-        "e2e_p50_s": _percentile(e2es, 50),
-        "e2e_p95_s": _percentile(e2es, 95),
+        "e2e": _series_stats([row["e2e_s"] for row in rows]),
         "coverage_min": min(row["coverage"] for row in rows),
         "resources": per_resource,
         "top_bottleneck": top,
+        "phases": {name: _series_stats(values)
+                   for name, values in sorted(phase_series.items())},
     }
 
 
 def aggregate_critpaths(rows: list[dict]) -> dict:
-    """Aggregate attribution rows, overall and per workload."""
+    """Aggregate analysis rows, overall and per workload: resource and
+    phase seconds, e2e mean/p50/p95/p99 and the top bottleneck."""
     if not rows:
         return {"count": 0, "workloads": {}}
-    out = _resource_stats(rows)
+    out = _aggregate(rows)
     by_workload: dict[str, list[dict]] = {}
     for row in rows:
         by_workload.setdefault(row["workload"], []).append(row)
     out["workloads"] = {
-        name: _resource_stats(group)
+        name: _aggregate(group)
         for name, group in sorted(by_workload.items())
     }
     return out

@@ -48,7 +48,7 @@ from repro.obs.critpath import (
     folded_stacks,
     invocation_critpaths,
 )
-from repro.obs.metrics import _percentile
+from repro.obs.metrics import percentile
 
 __all__ = [
     "PERCENTILES",
@@ -112,7 +112,7 @@ def cohort_attribution(rows, percentiles=PERCENTILES) -> dict:
         e2es = [row["e2e_s"] for row in group]
         entry: dict = {"count": len(group)}
         for pct in percentiles:
-            cutoff = _percentile(e2es, pct)
+            cutoff = percentile(e2es, pct)
             cohort = [row for row in group if row["e2e_s"] >= cutoff]
             if not cohort:  # degenerate (all-zero) group
                 cohort = group

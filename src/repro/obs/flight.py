@@ -53,8 +53,8 @@ __all__ = [
 
 BUNDLE_VERSION = 1
 
-#: the critpath coverage bar a bundle must clear to validate (same 95%
-#: bar the latency-breakdown report enforces)
+#: the critpath coverage bar a bundle must clear to validate (the same
+#: 95% bar ``scripts/profile_report.py`` enforces)
 DEFAULT_MIN_COVERAGE = 0.95
 
 _BUNDLE_FILES = (

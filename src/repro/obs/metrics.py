@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "percentile"]
 
 
 def _percentile_sorted(xs: list[float], q: float) -> float:
@@ -49,11 +49,9 @@ def _percentile_sorted(xs: list[float], q: float) -> float:
     return xs[lo] * (1.0 - frac) + xs[hi] * frac
 
 
-def _percentile(values: list[float], q: float) -> float:
-    """Linear-interpolation percentile (numpy's default method), local so
-    the metrics layer stays import-light."""
-    if not values:
-        raise ValueError("percentile of empty series")
+def percentile(values, q: float) -> float:
+    """Linear-interpolation percentile (numpy's default method) of any
+    iterable, local so the metrics layer stays import-light."""
     return _percentile_sorted(sorted(values), q)
 
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import DgsfConfig
+from repro.core import DgsfConfig, FaultPlan
 from repro.core.deployment import DgsfDeployment, NativeDeployment
 from repro.core.stats import summarize_invocations
+from repro.experiments.runner import make_plan, run_chaos_scenario
 from repro.faas import FunctionSpec
 from repro.simcuda.types import GB, MB
 
@@ -139,6 +140,23 @@ def test_summarize_invocations():
 def test_summarize_empty_rejected():
     with pytest.raises(ValueError):
         summarize_invocations([])
+
+
+def test_summarize_invocations_counts_only_completed():
+    """Failed invocations have t_end >= 0 too; they must stay out of the
+    latency statistics."""
+    cfg = DgsfConfig(num_gpus=2, api_servers_per_gpu=2, seed=7,
+                     fault_plan=FaultPlan(server_crash_prob=1.0,
+                                          crash_after_calls=(1, 20),
+                                          max_crashes=2),
+                     rpc_timeout_s=20.0, heartbeat_timeout_s=2.0)
+    invocations = run_chaos_scenario(
+        cfg, make_plan("exponential", seed=7, copies=2)).invocations
+    completed = [inv for inv in invocations if inv.status == "completed"]
+    assert 0 < len(completed) < len(invocations)
+    stats = summarize_invocations(invocations)
+    assert sum(ws.count for ws in stats.per_workload.values()) == len(completed)
+    assert stats.p50_e2e_s == summarize_invocations(completed).p50_e2e_s
 
 
 def test_setup_twice_rejected():

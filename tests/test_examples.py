@@ -1,5 +1,6 @@
 """The examples must run end-to-end (they double as acceptance tests)."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -49,7 +50,11 @@ def test_class_gpu_service(capsys):
 def test_call_trace_analysis(capsys):
     out = run_example("call_trace_analysis.py", capsys)
     assert "routing of interposed calls" in out
-    assert "top APIs by interposition time" in out
+    assert "top APIs by remoting time" in out
+    intercepted = int(re.search(r"intercepted (\d+) calls", out).group(1))
+    routes = dict(re.findall(r"^  (local|batched|async|remote) +(\d+)", out, re.M))
+    assert {"local", "batched", "remote"} <= set(routes)
+    assert sum(int(n) for n in routes.values()) == intercepted
 
 
 def test_experiments_cli_runs(capsys):

@@ -118,6 +118,11 @@ def test_invocation_critpaths_rows_and_coverage():
     assert row["coverage"] == pytest.approx(1.0)
     assert row["dominant"] == "cpu"
     assert set(row["resources"]) == set(RESOURCES)
+    # the phase split is the root's phase children, not the sweep
+    assert row["phases"] == {"platform_queue": 1.0, "download": 2.0,
+                             "gpu_queue": 1.0, "processing": 6.0}
+    assert row["phase_coverage"] == 1.0
+    assert row["rpc_mix"] == {"rpc:launch": 1}
 
 
 def test_uncovered_root_time_counts_against_coverage():
@@ -133,6 +138,7 @@ def test_uncovered_root_time_counts_against_coverage():
     assert row["coverage"] == pytest.approx(0.6)
     assert row["resources"]["object_store"] == pytest.approx(6.0)
     assert row["resources"]["cpu"] == pytest.approx(4.0)
+    assert row["phase_coverage"] == pytest.approx(0.6)
 
 
 def test_aggregate_and_bottleneck_table():
@@ -142,6 +148,9 @@ def test_aggregate_and_bottleneck_table():
     agg = aggregate_critpaths(rows)
     assert agg["count"] == 1
     assert agg["workloads"]["w"]["top_bottleneck"]["p50"] == "cpu"
+    assert agg["workloads"]["w"]["phases"]["processing"] == {
+        "mean": 6.0, "p50": 6.0, "p95": 6.0, "p99": 6.0}
+    assert agg["e2e"]["p99"] == 10.0
     table = bottleneck_table(agg)
     assert {(r["workload"], r["percentile"]) for r in table} == {
         ("w", "p50"), ("w", "p95")}

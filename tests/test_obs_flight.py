@@ -7,6 +7,9 @@ half-uploaded or hand-edited bundle.
 """
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.obs import (
 )
 from repro.sim.shard import run_sharded
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 SYNC_ARGS = (60, 2, 0.05, 0.18, 0.5, 4)
 LOOKAHEAD = 2e-3
 
@@ -134,3 +138,14 @@ def test_validation_catches_inconsistent_epochs(bundle, tmp_path):
 def test_validation_of_garbage_directory_is_readable(tmp_path):
     problems = validate_flight_bundle(tmp_path / "nope")
     assert len(problems) == 1 and "manifest.json unreadable" in problems[0]
+
+
+def test_shard_report_validate_cli_rejects_directory_without_manifest(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "shard_report.py"),
+         "--validate", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "manifest.json unreadable" in proc.stderr
+    assert "Traceback" not in proc.stderr

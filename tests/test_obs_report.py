@@ -1,9 +1,9 @@
 """End-to-end observability acceptance tests.
 
-The bar (mirroring ISSUE/ROADMAP): a traced run exports valid Chrome
-trace-event JSON whose per-invocation span tree sums (within rounding) to
-the invocation's measured end-to-end latency, with phase attribution
-covering >= 95% of wall sim-time — and tracing must not perturb the
+The bar: a traced run exports valid Chrome trace-event JSON whose
+per-invocation span tree sums (within rounding) to the invocation's
+measured end-to-end latency, with the phase split in the critical-path
+row covering >= 95% of wall sim-time — and tracing must not perturb the
 simulated timeline at all.
 """
 
@@ -15,16 +15,12 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import DgsfConfig
-from repro.core.stats import CacheStats, OutcomeSummary, summarize_invocations
+from repro.core.stats import summarize_invocations
 from repro.experiments.runner import (
     run_single_invocation,
     run_single_invocation_traced,
 )
-from repro.obs import (
-    aggregate_breakdowns,
-    breakdown_table_rows,
-    invocation_breakdowns,
-)
+from repro.obs import aggregate_critpaths, bottleneck_table, invocation_critpaths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,7 +34,7 @@ def traced_face_id():
 
 def test_span_tree_sums_to_measured_e2e(traced_face_id):
     inv, dep = traced_face_id
-    (row,) = invocation_breakdowns(dep.tracer, [inv])
+    (row,) = invocation_critpaths(dep.tracer, [inv])
     assert row["e2e_matches_span"] is True
     assert abs(row["e2e_s"] - inv.e2e_s) < 1e-9
     assert row["status"] == "completed"
@@ -47,8 +43,8 @@ def test_span_tree_sums_to_measured_e2e(traced_face_id):
 
 def test_phase_attribution_covers_95_percent(traced_face_id):
     inv, dep = traced_face_id
-    (row,) = invocation_breakdowns(dep.tracer, [inv])
-    assert row["coverage"] >= 0.95
+    (row,) = invocation_critpaths(dep.tracer, [inv])
+    assert row["phase_coverage"] >= 0.95
     # phase spans match the invocation's own phase dict exactly
     for name, seconds in inv.phases.items():
         assert row["phases"][name] == pytest.approx(seconds, abs=1e-12)
@@ -97,23 +93,28 @@ def test_cross_layer_spans_share_the_trace(traced_face_id):
 
 def test_aggregate_and_table_rows(traced_face_id):
     inv, dep = traced_face_id
-    rows = invocation_breakdowns(dep.tracer, [inv])
-    agg = aggregate_breakdowns(rows)
+    rows = invocation_critpaths(dep.tracer, [inv])
+    agg = aggregate_critpaths(rows)
     assert agg["count"] == 1
     assert agg["coverage_min"] >= 0.95
     assert agg["e2e"]["p50"] == pytest.approx(inv.e2e_s)
     assert "face_identification" in agg["workloads"]
-    table = breakdown_table_rows(agg)
-    assert any(r["phase"] == "e2e" for r in table)
-    assert all({"workload", "phase", "mean_s", "p50_s", "p95_s", "p99_s"}
-               <= set(r) for r in table)
+    phases = agg["workloads"]["face_identification"]["phases"]
+    assert set(phases) == set(inv.phases)
+    for name, stats in phases.items():
+        assert set(stats) == {"mean", "p50", "p95", "p99"}
+        assert stats["p99"] == pytest.approx(inv.phases[name], abs=1e-12)
+    table = bottleneck_table(agg)
+    assert table and all(
+        {"workload", "percentile", "bottleneck", "seconds", "share"} <= set(r)
+        for r in table)
 
 
 def test_aggregate_empty_rows():
-    assert aggregate_breakdowns([]) == {"count": 0, "workloads": {}}
+    assert aggregate_critpaths([]) == {"count": 0, "workloads": {}}
 
 
-# --- registry-backed summary views -------------------------------------------
+# --- run summaries and registry totals ---------------------------------------
 
 def test_run_stats_percentiles(traced_face_id):
     inv, _ = traced_face_id
@@ -126,34 +127,18 @@ def test_run_stats_percentiles(traced_face_id):
     assert {"p50_e2e_s", "p95_e2e_s", "p99_e2e_s"} <= set(stats.as_dict())
 
 
-def test_outcome_summary_from_registry(traced_face_id):
-    inv, dep = traced_face_id
-    outcomes = OutcomeSummary.from_registry(dep.metrics)
-    assert outcomes.counts == {"completed": 1}
-    assert outcomes.total == 1
-    assert outcomes.completion_rate == 1.0
-    assert outcomes.all_terminal
-    assert outcomes.mean_completed_e2e_s == pytest.approx(inv.e2e_s)
-    # a wedged invocation shows up as the shortfall vs expected_total
-    short = OutcomeSummary.from_registry(dep.metrics, expected_total=2)
-    assert short.total == 2
-    assert not short.all_terminal
-    assert short.completion_rate == 0.5
-
-
 def test_cache_stats_from_registry():
     inv, dep = run_single_invocation_traced(
         "kmeans", "dgsf_warm", DgsfConfig(num_gpus=1)
     )
-    view = CacheStats.from_registry(dep.metrics)
-    assert view.hits > 0
-    assert view.hit_rate > 0
+    hits = dep.metrics.total("artifact_cache.hits")
+    assert hits > 0
     # the per-server object view and the registry view agree
     summed = sum(
         s.artifact_cache.hits for s in dep.gpu_server.api_servers
         if s.artifact_cache is not None
     )
-    assert view.hits == summed
+    assert hits == summed
 
 
 # --- the CLI -----------------------------------------------------------------
@@ -169,10 +154,15 @@ def test_profile_report_cli_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "trace validation OK" in proc.stdout
-    for name in ("trace.json", "breakdown.json", "metrics.json"):
+    for name in ("trace.json", "critpath.json", "metrics.json"):
         assert (out_dir / name).exists()
-    breakdown = json.loads((out_dir / "breakdown.json").read_text())
-    assert breakdown["aggregate"]["coverage_min"] >= 0.95
+    assert not (out_dir / "breakdown.json").exists()
+    critpath = json.loads((out_dir / "critpath.json").read_text())
+    assert critpath["aggregate"]["coverage_min"] >= 0.95
+    (row,) = critpath["per_invocation"]
+    assert row["phase_coverage"] >= 0.95
+    phases = critpath["aggregate"]["workloads"]["kmeans"]["phases"]
+    assert set(phases) == set(row["phases"]) and "processing" in phases
 
 
 def test_breakdowns_skip_invocations_without_traces(traced_face_id):
@@ -183,7 +173,7 @@ def test_breakdowns_skip_invocations_without_traces(traced_face_id):
     class Untraced:
         trace_id = None
 
-    rows = invocation_breakdowns(dep.tracer, [Untraced()])
+    rows = invocation_critpaths(dep.tracer, [Untraced()])
     assert rows == []
-    assert aggregate_breakdowns(rows) == {"count": 0, "workloads": {}}
-    assert breakdown_table_rows(aggregate_breakdowns(rows)) == []
+    assert aggregate_critpaths(rows) == {"count": 0, "workloads": {}}
+    assert bottleneck_table(aggregate_critpaths(rows)) == []

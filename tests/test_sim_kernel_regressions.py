@@ -16,7 +16,7 @@ from repro.sim import Environment, Resource
 from repro.sim.core import Interrupt, Timeout
 from repro.sim.legacy import LegacyHeapEnvironment
 from repro.faas.workload_gen import schedule_arrivals, uniform_arrivals
-from repro.obs.metrics import Histogram, MetricsRegistry, _percentile
+from repro.obs.metrics import Histogram, MetricsRegistry, percentile
 
 
 # --- bugfix 1: Event.cancel() on a pending event must not poison it ---------
@@ -192,7 +192,7 @@ def test_histogram_truncation_is_deterministic():
 
 
 def test_percentile_helper_signature_unchanged():
-    assert _percentile([3.0, 1.0, 2.0], 50) == 2.0
+    assert percentile([3.0, 1.0, 2.0], 50) == 2.0
 
 
 # --- kernel edge cases (issue checklist) ------------------------------------
