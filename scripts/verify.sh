@@ -21,6 +21,15 @@ else
     PYTHONPATH=src python -m pytest -x -q "$@"
 fi
 
+echo "== paper benchmarks on the pooling, migration and recovery paths =="
+# Fig. 4 (handle-pooling ablation), Fig. 8 (migration case study),
+# Table V, the Table I migration strategies and crash recovery.
+PYTHONPATH=src python -m pytest -q --benchmark-disable \
+    benchmarks/test_fig4.py benchmarks/test_fig8.py benchmarks/test_table5.py \
+    benchmarks/test_ablation_migration.py \
+    benchmarks/test_ablation_migration_strategies.py \
+    benchmarks/test_ablation_faults.py
+
 echo "== full-stack benchmark smoke (bench/tests) =="
 # Runs every bench/ workload for --seconds 1, untraced and traced: each
 # declared metric is emitted and sim_digest repeats.  This is the only

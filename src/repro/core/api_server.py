@@ -36,9 +36,8 @@ from repro.sim.core import Environment
 from repro.sim.resources import Resource
 from repro.simcuda.context import CudaContext
 from repro.simcuda.costs import CostModel
-from repro.simcuda.cudnn import CudnnHandle, CudnnLibrary
-from repro.simcuda.cublas import CublasHandle, CublasLibrary
 from repro.simcuda.errors import CudaError, cudaError
+from repro.simcuda.libs import LIBRARY_KINDS, LibraryHandle, VendorLibrary
 from repro.simcuda.stream import Stream
 from repro.simcuda.types import Dim3
 from repro.simnet.rpc import RpcRequest, RpcServer
@@ -87,12 +86,10 @@ class FunctionSession:
     events: dict[int, object] = field(default_factory=dict)
     #: guest function token -> kernel name
     kernel_names: dict[int, str] = field(default_factory=dict)
-    #: guest cudnn token -> {device_id: CudnnHandle}
-    cudnn_handles: dict[int, dict[int, CudnnHandle]] = field(default_factory=dict)
-    cublas_handles: dict[int, dict[int, CublasHandle]] = field(default_factory=dict)
-    #: handles borrowed from the shared pools (to return at session end)
-    borrowed_cudnn: list[CudnnHandle] = field(default_factory=list)
-    borrowed_cublas: list[CublasHandle] = field(default_factory=list)
+    #: guest cuDNN/cuBLAS token -> {device_id: LibraryHandle}
+    handles: dict[int, dict[int, LibraryHandle]] = field(default_factory=dict)
+    #: handles borrowed from the shared pools (to give back at session end)
+    borrowed: list[LibraryHandle] = field(default_factory=list)
     api_calls: int = 0
     #: server-side LLM decode engine, created by ``llmConfigure``
     llm: Optional[DecodeEngine] = None
@@ -117,13 +114,11 @@ class ApiServer:
         #: contexts are claimed from the per-GPU migration slot)
         self.contexts: dict[int, CudaContext] = {}
         #: per-context library facades (created alongside contexts)
-        self._cudnn_libs: dict[int, CudnnLibrary] = {}
-        self._cublas_libs: dict[int, CublasLibrary] = {}
-        #: the server's own precreated handles on its home GPU (§V-C)
-        self._own_cudnn: Optional[CudnnHandle] = None
-        self._own_cublas: Optional[CublasHandle] = None
-        self._own_cudnn_free = True
-        self._own_cublas_free = True
+        self._libs: dict[int, VendorLibrary] = {}
+        #: kind -> the server's own precreated handle on its home GPU (§V-C)
+        self._own: dict[str, LibraryHandle] = {}
+        #: kinds whose own handle the current session holds
+        self._own_lent: set[str] = set()
         self.session: Optional[FunctionSession] = None
         self.exec_lock = Resource(env, capacity=1)
         self.migrations = 0
@@ -183,25 +178,40 @@ class ApiServer:
         driver = self.gpu_server.driver
         ctx = yield from driver.cuCtxCreate(self.home_device_id)
         self._adopt_context(self.home_device_id, ctx)
-        cudnn = self._cudnn_libs[self.home_device_id]
-        h = yield from cudnn.cudnnCreate()
-        self._own_cudnn = cudnn._handles[h]
-        cublas = self._cublas_libs[self.home_device_id]
-        h = yield from cublas.cublasCreate()
-        self._own_cublas = cublas._handles[h]
+        for kind in LIBRARY_KINDS:
+            self._own[kind] = yield from self._libs[self.home_device_id].create(kind)
 
     def _adopt_context(self, device_id: int, ctx: CudaContext) -> None:
         self.contexts[device_id] = ctx
-        self._cudnn_libs[device_id] = CudnnLibrary(self.env, ctx, self.costs)
-        self._cublas_libs[device_id] = CublasLibrary(self.env, ctx, self.costs)
+        self._libs[device_id] = VendorLibrary(self.env, ctx, self.costs)
 
     def release_context(self, device_id: int) -> CudaContext:
         """Detach a non-home context (returning a migration slot)."""
         if device_id == self.home_device_id:
             raise SimulationError("cannot release the home context")
-        del self._cudnn_libs[device_id]
-        del self._cublas_libs[device_id]
+        del self._libs[device_id]
         return self.contexts.pop(device_id)
+
+    def install_twins(self, device_id: int) -> Generator:
+        """Give the session's streams, events and library handles twins in
+        the ``device_id`` context — the translation maps of §V-D.
+
+        Stream twins pre-created at ``cudaStreamCreate`` are kept; events
+        are recreated.  Handle twins come from the GPU's shared pool, or
+        are created inline on a pool miss: all cuDNN twins, then all
+        cuBLAS twins.
+        """
+        session = self._session()
+        ctx = self.contexts[device_id]
+        for twins in session.streams.values():
+            if device_id not in twins:
+                twins[device_id] = ctx.create_stream()
+        for token in list(session.events):
+            session.events[token] = ctx.create_event()
+        for kind in LIBRARY_KINDS:
+            for twins in session.handles.values():
+                if device_id not in twins and _kind_of(twins) == kind:
+                    twins[device_id] = yield from self._borrow_or_create(kind, device_id)
 
     # -- state ----------------------------------------------------------------------
     @property
@@ -272,14 +282,7 @@ class ApiServer:
             # server guarantees cleanup like a process exit would).
             for va in list(session.allocations):
                 yield from self._free_va(va)
-            # Return borrowed pool handles.
-            pools = self.gpu_server.pools
-            for h in session.borrowed_cudnn:
-                pools.return_cudnn(h)
-            for h in session.borrowed_cublas:
-                pools.return_cublas(h)
-            self._own_cudnn_free = True
-            self._own_cublas_free = True
+            self.release_handles(session)
             # Destroy per-function streams (all twins).
             for twins in session.streams.values():
                 for dev_id, stream in twins.items():
@@ -294,6 +297,29 @@ class ApiServer:
                 self.current_device_id = self.home_device_id
             self.memory_device_id = self.home_device_id
             self.kernel_work_multiplier = 1.0
+
+    def release_handles(self, session: Optional[FunctionSession],
+                        own: bool = False) -> None:
+        """Release library handles without using simulated time.
+
+        The one release path of session end, crash and shutdown: the
+        session's borrowed handles go back to the shared pool, handles it
+        created inline (unpooled baseline, pool miss) free their device
+        footprint, and the server's own handles are free for the next
+        function — or, with ``own``, freed as well (the process is gone).
+        """
+        freed: list[LibraryHandle] = list(self._own.values()) if own else []
+        if session is not None:
+            for handle in session.borrowed:
+                self.gpu_server.pools.give_back(handle)
+            kept = set(session.borrowed).union(self._own.values())
+            freed += [h for twins in session.handles.values()
+                      for h in twins.values() if h not in kept]
+        for handle in freed:
+            self.gpu_server.device(handle.device_id).unreserve_bytes(handle.nbytes)
+        if own:
+            self._own = {}
+        self._own_lent.clear()
 
     # -- RPC dispatch -------------------------------------------------------------------
     def _trace_track(self) -> tuple[str, str]:
@@ -656,81 +682,61 @@ class ApiServer:
 
     # --- cuDNN / cuBLAS ---
     def _rpc_cudnnCreate(self, pooled: bool = True) -> Generator:
-        """Create (or hand out a pooled) cuDNN handle.
+        return (yield from self._create_handle("cudnn", pooled))
+
+    def _rpc_cublasCreate(self, pooled: bool = True) -> Generator:
+        return (yield from self._create_handle("cublas", pooled))
+
+    def _create_handle(self, kind: str, pooled: bool) -> Generator:
+        """Create (or hand out a pooled) library handle.
 
         With handle pooling the server returns its own precreated handle
         (or borrows from the per-GPU shared pool); without it, the full
-        1.2 s creation happens inline — the ablation baseline.
+        creation (1.2 s for cuDNN) happens inline — the ablation baseline.
         """
         session = self._session()
-        handle: Optional[CudnnHandle] = None
-        if pooled:
-            if self._own_cudnn_free and self.current_device_id == self.home_device_id:
-                handle = self._own_cudnn
-                self._own_cudnn_free = False
-            else:
-                handle = self.gpu_server.pools.borrow_cudnn(self.current_device_id)
-                if handle is not None:
-                    session.borrowed_cudnn.append(handle)
-        if handle is None:
-            lib = self._cudnn_libs[self.current_device_id]
-            h = yield from lib.cudnnCreate()
-            handle = lib._handles[h]
+        device_id = self.current_device_id
+        if pooled and kind not in self._own_lent and device_id == self.home_device_id:
+            self._own_lent.add(kind)
+            handle = self._own[kind]
+        elif pooled:
+            handle = yield from self._borrow_or_create(kind, device_id)
         else:
-            self._cudnn_libs[self.current_device_id].adopt_handle(handle)
+            handle = yield from self._libs[device_id].create(kind)
         token = next(_token_ids)
-        session.cudnn_handles[token] = {self.current_device_id: handle}
+        session.handles[token] = {device_id: handle}
         return token
 
-    def _rpc_cublasCreate(self, pooled: bool = True) -> Generator:
-        session = self._session()
-        handle: Optional[CublasHandle] = None
-        if pooled:
-            if self._own_cublas_free and self.current_device_id == self.home_device_id:
-                handle = self._own_cublas
-                self._own_cublas_free = False
-            else:
-                handle = self.gpu_server.pools.borrow_cublas(self.current_device_id)
-                if handle is not None:
-                    session.borrowed_cublas.append(handle)
+    def _borrow_or_create(self, kind: str, device_id: int) -> Generator:
+        """A handle from the GPU's shared pool, or one created inline."""
+        handle = self.gpu_server.pools.borrow(kind, device_id)
         if handle is None:
-            lib = self._cublas_libs[self.current_device_id]
-            h = yield from lib.cublasCreate()
-            handle = lib._handles[h]
-        else:
-            self._cublas_libs[self.current_device_id].adopt_handle(handle)
-        token = next(_token_ids)
-        session.cublas_handles[token] = {self.current_device_id: handle}
-        return token
+            return (yield from self._libs[device_id].create(kind))
+        self._session().borrowed.append(handle)
+        return handle
 
     def _rpc_cudnnDescriptorOp(self, kind: str, op: str) -> Generator:
         """Unpooled descriptor traffic (ablation baseline): host-side work."""
-        lib = self._cudnn_libs[self.current_device_id]
         if op == "create":
-            return (yield from lib.cudnnCreateDescriptor(kind))
+            return (yield from self._libs[self.current_device_id].create_descriptor(kind))
         # set/destroy: tiny host-side cost, nothing to return
         yield self.env.timeout(self.costs.api_call_local_s)
         return None
 
     def _rpc_cudnnOp(self, token: int, op: str, work: float, sync: bool = False,
                      stream: int = 0) -> Generator:
-        handle = self._library_handle(self._session().cudnn_handles, token)
-        lib = self._cudnn_libs[self.current_device_id]
-        lib.adopt_handle(handle)
-        done = yield from lib.cudnnOp(
-            handle.handle, op, work * self.kernel_work_multiplier,
-            stream=self._stream(stream).handle,
-        )
-        if sync:
-            yield done
-        return None
+        return (yield from self._library_op("cudnn", token, op, work, sync, stream))
 
     def _rpc_cublasOp(self, token: int, op: str, work: float, sync: bool = False,
                       stream: int = 0) -> Generator:
-        handle = self._library_handle(self._session().cublas_handles, token)
-        lib = self._cublas_libs[self.current_device_id]
-        lib.adopt_handle(handle)
-        done = yield from lib.cublasOp(
+        return (yield from self._library_op("cublas", token, op, work, sync, stream))
+
+    def _library_op(self, kind: str, token: int, op: str, work: float, sync: bool,
+                    stream: int) -> Generator:
+        handle = self._library_handle(kind, token)
+        lib = self._libs[self.current_device_id]
+        lib.adopt(handle)
+        done = yield from lib.op(
             handle.handle, op, work * self.kernel_work_multiplier,
             stream=self._stream(stream).handle,
         )
@@ -800,10 +806,12 @@ class ApiServer:
             raise CudaError(cudaError.cudaErrorInvalidResourceHandle, f"event {token:#x}")
         return event
 
-    def _library_handle(self, table: dict, token: int):
-        twins = table.get(token)
-        if twins is None:
-            raise CudaError(cudaError.cudaErrorInvalidResourceHandle, f"handle {token:#x}")
+    def _library_handle(self, kind: str, token: int) -> LibraryHandle:
+        twins = self._session().handles.get(token)
+        if twins is None or _kind_of(twins) != kind:
+            raise CudaError(
+                cudaError.cudaErrorInvalidResourceHandle, f"{kind} handle {token:#x}"
+            )
         handle = twins.get(self.current_device_id)
         if handle is None:
             raise CudaError(
@@ -856,31 +864,10 @@ class ApiServer:
         rpc, self._rpc = self._rpc, None
         if rpc is not None:
             rpc.kill()
-        # Shared-pool handles are not process-owned: back to stock.  Handles
-        # the session created inline (pool miss / unpooled baseline) die
-        # with the process — release their device footprint.
-        pools = self.gpu_server.pools
-        if session is not None:
-            for h in session.borrowed_cudnn:
-                pools.return_cudnn(h)
-            for h in session.borrowed_cublas:
-                pools.return_cublas(h)
-            borrowed = set(session.borrowed_cudnn)
-            for twins in session.cudnn_handles.values():
-                for dev_id, h in twins.items():
-                    if h is not self._own_cudnn and h not in borrowed:
-                        self.gpu_server.device(dev_id).unreserve_bytes(
-                            self.costs.cudnn_handle_bytes
-                        )
-            borrowed = set(session.borrowed_cublas)
-            for twins in session.cublas_handles.values():
-                for dev_id, h in twins.items():
-                    if h is not self._own_cublas and h not in borrowed:
-                        self.gpu_server.device(dev_id).unreserve_bytes(
-                            self.costs.cublas_handle_bytes
-                        )
-        self._own_cudnn_free = True
-        self._own_cublas_free = True
+        # Shared-pool handles are not process-owned: back to stock.  The
+        # server's own handles and those the session created inline die
+        # with the process.
+        self.release_handles(session, own=True)
         driver = self.gpu_server.driver
         for device_id, ctx in list(self.contexts.items()):
             # OS teardown frees the process's device memory in one sweep
@@ -896,16 +883,8 @@ class ApiServer:
                 # this context was claimed from the per-GPU migration slot
                 self.gpu_server.note_slot_lost(device_id)
             driver.cuCtxDestroy(ctx)
-        home = self.gpu_server.device(self.home_device_id)
-        if self._own_cudnn is not None:
-            home.unreserve_bytes(self.costs.cudnn_handle_bytes)
-        if self._own_cublas is not None:
-            home.unreserve_bytes(self.costs.cublas_handle_bytes)
-        self._own_cudnn = None
-        self._own_cublas = None
         self.contexts.clear()
-        self._cudnn_libs.clear()
-        self._cublas_libs.clear()
+        self._libs.clear()
         self.current_device_id = self.home_device_id
         self.memory_device_id = self.home_device_id
         self.kernel_work_multiplier = 1.0
@@ -945,3 +924,8 @@ class ApiServer:
             f"<ApiServer {self.server_id} home={self.home_device_id} "
             f"now={self.current_device_id} {'busy' if self.busy else 'idle'}>"
         )
+
+
+def _kind_of(twins: dict[int, LibraryHandle]) -> str:
+    """The library kind of one guest handle token (all twins share it)."""
+    return next(iter(twins.values())).kind

@@ -13,8 +13,10 @@ point:
   always covers the bytes of live tracked allocations (the rest is
   reserved static footprint: contexts, handles),
 * **no leaked reservations** — at end state, no server is still busy or
-  reserved (unless mid-recovery), no request is stuck in flight, and no
-  physical allocations or charges survive the last release.
+  reserved (unless mid-recovery), no request is stuck in flight, no
+  physical allocations or charges survive the last release, and each
+  GPU's reserved static footprint (contexts, handles) is exactly what
+  bring-up left.
 
 ``audit_deployment``/``audit_gpu_server`` return an :class:`AuditReport`;
 test fixtures call :meth:`AuditReport.raise_if_failed` so any violation
@@ -165,6 +167,20 @@ def audit_gpu_server(gpu_server, end_state: bool = False,
                 report.add(
                     "leak", f"GPU {device_id} still has {committed} committed bytes"
                 )
+        # Bring-up left total_mem - schedulable_capacity reserved; a dead or
+        # recovering server has not re-created its footprint yet.
+        if not any(s.dead or s.recovering for s in servers):
+            for device in gpu_server.devices:
+                capacity = monitor.schedulable_capacity.get(device.device_id)
+                if capacity is None:
+                    continue
+                static = device.mem_used - sum(a.size for a in device._allocations)
+                if static != device.total_mem - capacity:
+                    report.add(
+                        "leak",
+                        f"GPU {device.device_id} static footprint is {static} "
+                        f"bytes, bring-up left {device.total_mem - capacity}",
+                    )
 
     if check_schedulable:
         for device in gpu_server.devices:

@@ -24,10 +24,9 @@ from repro.sim.core import Environment
 from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 from repro.simcuda.costs import CostModel, DEFAULT_COSTS
-from repro.simcuda.cudnn import CudnnLibrary
-from repro.simcuda.cublas import CublasLibrary
 from repro.simcuda.device import SimGPU
 from repro.simcuda.kernels import KernelRegistry, builtin_registry
+from repro.simcuda.libs import VendorLibrary
 from repro.simcuda.runtime import LocalCudaRuntime
 from repro.simcuda.types import Dim3, MemcpyKind
 from repro.simnet.link import NetworkProfile
@@ -63,17 +62,15 @@ class NativeGpuSession:
     def __init__(self, env: Environment, runtime: LocalCudaRuntime):
         self.env = env
         self.rt = runtime
-        self._cudnn: Optional[CudnnLibrary] = None
-        self._cublas: Optional[CublasLibrary] = None
+        self._lib: Optional[VendorLibrary] = None
         # facade-level counters (parity with GuestLibrary)
         self.calls_intercepted = 0
         self.calls_forwarded = 0  # native: nothing crosses a network
 
     def _ensure_libs(self) -> Generator:
-        if self._cudnn is None:
+        if self._lib is None:
             yield from self.rt.cudaGetDeviceCount()  # triggers lazy CUDA init
-            self._cudnn = CudnnLibrary(self.env, self.rt.context, self.rt.costs)
-            self._cublas = CublasLibrary(self.env, self.rt.context, self.rt.costs)
+            self._lib = VendorLibrary(self.env, self.rt.context, self.rt.costs)
 
     # --- device management ---
     def cudaGetDeviceCount(self) -> Generator:
@@ -209,28 +206,28 @@ class NativeGpuSession:
     def cudnnCreate(self) -> Generator:
         self.calls_intercepted += 1
         yield from self._ensure_libs()
-        return (yield from self._cudnn.cudnnCreate())
+        return (yield from self._lib.create("cudnn")).handle
 
     def cudnnCreateDescriptor(self, kind: str) -> Generator:
         self.calls_intercepted += 1
         yield from self._ensure_libs()
-        return (yield from self._cudnn.cudnnCreateDescriptor(kind))
+        return (yield from self._lib.create_descriptor(kind))
 
     def cudnnSetDescriptor(self, desc: int, **settings) -> Generator:
         self.calls_intercepted += 1
         yield from self._ensure_libs()
-        return (yield from self._cudnn.cudnnSetDescriptor(desc, **settings))
+        return (yield from self._lib.set_descriptor(desc, **settings))
 
     def cudnnDestroyDescriptor(self, desc: int) -> Generator:
         self.calls_intercepted += 1
         yield from self._ensure_libs()
-        return (yield from self._cudnn.cudnnDestroyDescriptor(desc))
+        return (yield from self._lib.destroy_descriptor(desc))
 
     def cudnnOp(self, handle: int, op: str, work: float, sync: bool = False,
                 stream: int = 0) -> Generator:
         self.calls_intercepted += 1
         yield from self._ensure_libs()
-        done = yield from self._cudnn.cudnnOp(handle, op, work, stream=stream)
+        done = yield from self._lib.op(handle, op, work, stream=stream)
         if sync:
             yield done
         return None
@@ -238,13 +235,13 @@ class NativeGpuSession:
     def cublasCreate(self) -> Generator:
         self.calls_intercepted += 1
         yield from self._ensure_libs()
-        return (yield from self._cublas.cublasCreate())
+        return (yield from self._lib.create("cublas")).handle
 
     def cublasOp(self, handle: int, op: str, work: float, sync: bool = False,
                  stream: int = 0) -> Generator:
         self.calls_intercepted += 1
         yield from self._ensure_libs()
-        done = yield from self._cublas.cublasOp(handle, op, work, stream=stream)
+        done = yield from self._lib.op(handle, op, work, stream=stream)
         if sync:
             yield done
         return None

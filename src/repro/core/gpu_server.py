@@ -201,24 +201,14 @@ class GpuServer:
             server.stop_serving()
             if server.artifact_cache is not None:
                 server.artifact_cache.invalidate_all()
-            ctx = server.contexts[server.home_device_id]
-            # own handles
-            if server._own_cudnn is not None:
-                ctx.device.unreserve_bytes(self.costs.cudnn_handle_bytes)
-            if server._own_cublas is not None:
-                ctx.device.unreserve_bytes(self.costs.cublas_handle_bytes)
-            self.driver.cuCtxDestroy(ctx)
+            server.release_handles(None, own=True)
+            self.driver.cuCtxDestroy(server.contexts[server.home_device_id])
         for device_id, ctx in list(self._migration_slots.items()):
             if ctx is not None:
                 self.driver.cuCtxDestroy(ctx)
                 self._migration_slots[device_id] = None
-        # drain the shared handle pools
-        for device in self.devices:
-            cudnn_n, cublas_n = self.pools.available(device.device_id)
-            device.unreserve_bytes(
-                cudnn_n * self.costs.cudnn_handle_bytes
-                + cublas_n * self.costs.cublas_handle_bytes
-            )
+        for handle in self.pools.drain():
+            self.device(handle.device_id).unreserve_bytes(handle.nbytes)
         if False:
             yield
         return None

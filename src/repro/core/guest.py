@@ -37,7 +37,7 @@ import numpy as np
 from repro.errors import ReproError
 from repro.sim.core import Environment
 from repro.simcuda.costs import CostModel, DEFAULT_COSTS
-from repro.simcuda.cudnn import DESCRIPTOR_KINDS
+from repro.simcuda.libs import DESCRIPTOR_KINDS
 from repro.simcuda.errors import CudaError, cudaError
 from repro.simcuda.runtime import PointerAttributes
 from repro.simnet.rpc import PendingReply, RpcClient, RpcError, RpcTimeout

@@ -5,10 +5,10 @@ initialized... Each API server pre-creates a set of cuDNN and cuBLAS
 handles, which are returned directly to serve the corresponding API
 calls."
 
-:class:`HandlePools` owns, per GPU, a stock of initialized cuDNN and
-cuBLAS handles (their device-memory footprint is charged at creation
-time, off any function's critical path).  API servers borrow handles when
-serving ``cudnnCreate``/``cublasCreate`` from the pool and return them
+:class:`HandlePools` owns one stock of initialized library handles per
+(kind, GPU); their device-memory footprint is charged at creation time,
+off any function's critical path.  API servers borrow handles when
+serving ``cudnnCreate``/``cublasCreate`` from the pool and give them back
 when the function finishes; migration borrows *twin* handles on the
 destination GPU.
 """
@@ -21,24 +21,21 @@ from repro.errors import ConfigurationError
 from repro.sim.core import Environment
 from repro.simcuda.context import CudaContext
 from repro.simcuda.costs import CostModel
-from repro.simcuda.cudnn import CudnnHandle, CudnnLibrary
-from repro.simcuda.cublas import CublasHandle, CublasLibrary
+from repro.simcuda.libs import LIBRARY_KINDS, LibraryHandle, VendorLibrary
 
 __all__ = ["HandlePools"]
 
 
 class HandlePools:
-    """Per-GPU stocks of pre-initialized library handles."""
+    """Per-(kind, GPU) stocks of pre-initialized library handles."""
 
     def __init__(self, env: Environment, costs: CostModel):
         self.env = env
         self.costs = costs
-        #: device_id -> available handles
-        self._cudnn: dict[int, list[CudnnHandle]] = {}
-        self._cublas: dict[int, list[CublasHandle]] = {}
-        #: device_id -> library objects used to mint pool handles
-        self._cudnn_libs: dict[int, CudnnLibrary] = {}
-        self._cublas_libs: dict[int, CublasLibrary] = {}
+        #: (kind, device_id) -> available handles
+        self._stock: dict[tuple[str, int], list[LibraryHandle]] = {}
+        #: device_id -> library used to mint pool handles
+        self._libs: dict[int, VendorLibrary] = {}
 
     def prefill(self, context: CudaContext, count: int) -> Generator:
         """Create ``count`` handles of each kind on the context's GPU.
@@ -50,37 +47,27 @@ class HandlePools:
         if count <= 0:
             raise ConfigurationError("pool count must be positive")
         device_id = context.device.device_id
-        cudnn_lib = self._cudnn_libs.setdefault(
-            device_id, CudnnLibrary(self.env, context, self.costs)
-        )
-        cublas_lib = self._cublas_libs.setdefault(
-            device_id, CublasLibrary(self.env, context, self.costs)
+        lib = self._libs.setdefault(
+            device_id, VendorLibrary(self.env, context, self.costs)
         )
         for _ in range(count):
-            h = yield from cudnn_lib.cudnnCreate()
-            self._cudnn.setdefault(device_id, []).append(cudnn_lib._handles[h])
-            h = yield from cublas_lib.cublasCreate()
-            self._cublas.setdefault(device_id, []).append(cublas_lib._handles[h])
+            for kind in LIBRARY_KINDS:
+                self.give_back((yield from lib.create(kind)))
 
-    # -- borrowing -------------------------------------------------------------
-    def borrow_cudnn(self, device_id: int) -> Optional[CudnnHandle]:
-        """Take a pre-created cuDNN handle for this GPU (None if exhausted)."""
-        stock = self._cudnn.get(device_id, [])
+    def borrow(self, kind: str, device_id: int) -> Optional[LibraryHandle]:
+        """Take a pre-created handle for this GPU (None if exhausted)."""
+        stock = self._stock.get((kind, device_id))
         return stock.pop() if stock else None
 
-    def borrow_cublas(self, device_id: int) -> Optional[CublasHandle]:
-        stock = self._cublas.get(device_id, [])
-        return stock.pop() if stock else None
+    def give_back(self, handle: LibraryHandle) -> None:
+        self._stock.setdefault((handle.kind, handle.device_id), []).append(handle)
 
-    def return_cudnn(self, handle: CudnnHandle) -> None:
-        self._cudnn.setdefault(handle.device_id, []).append(handle)
+    def available(self, kind: str, device_id: int) -> int:
+        """Handles of ``kind`` in stock for one GPU."""
+        return len(self._stock.get((kind, device_id), []))
 
-    def return_cublas(self, handle: CublasHandle) -> None:
-        self._cublas.setdefault(handle.device_id, []).append(handle)
-
-    def available(self, device_id: int) -> tuple[int, int]:
-        """(cudnn, cublas) handles in stock for one GPU."""
-        return (
-            len(self._cudnn.get(device_id, [])),
-            len(self._cublas.get(device_id, [])),
-        )
+    def drain(self) -> list[LibraryHandle]:
+        """Empty every stock, returning what it held (GPU-server shutdown)."""
+        handles = [h for stock in self._stock.values() for h in stock]
+        self._stock.clear()
+        return handles

@@ -26,7 +26,7 @@ from typing import Generator
 from repro.errors import SimulationError
 from repro.sim.core import Environment
 
-__all__ = ["MigrationRecord", "migrate_api_server"]
+__all__ = ["MigrationRecord", "migrate_api_server", "run_migration"]
 
 
 @dataclass
@@ -48,22 +48,46 @@ def migrate_api_server(api_server, target_device_id: int) -> Generator:
     Returns a :class:`MigrationRecord`.  The caller (monitor) is
     responsible for scheduling-level accounting (committed memory moves).
     """
+    source_device_id = api_server.current_device_id
+    t_start = api_server.env.now
+    moved_bytes, moved_allocs = yield from run_migration(
+        api_server, target_device_id, 1, _move_preserving_addresses
+    )
+    return MigrationRecord(
+        server_id=api_server.server_id,
+        source_device=source_device_id,
+        target_device=target_device_id,
+        moved_bytes=moved_bytes,
+        allocations_moved=moved_allocs,
+        started_at=t_start,
+        duration_s=api_server.env.now - t_start,
+    )
+
+
+def run_migration(api_server, target_device_id: int, fixed_cost_factor: float,
+                  move_data) -> Generator:
+    """The steps every migration strategy shares, around its own data move.
+
+    Validates the target, quiesces the server and claims the destination
+    context, charges ``fixed_cost_factor`` × the fixed migration overhead,
+    runs ``move_data(api_server, source_ctx, target_ctx)``, installs the
+    handle twins, then switches the current GPU and releases a previously
+    claimed slot.  A data move that relocates the session's memory also
+    sets ``memory_device_id``.  Returns whatever ``move_data`` returns.
+    """
     env: Environment = api_server.env
     gpu_server = api_server.gpu_server
-    driver = gpu_server.driver
-    costs = api_server.costs
     source_device_id = api_server.current_device_id
     if target_device_id == source_device_id:
         raise SimulationError("migration target equals current GPU")
     if api_server.session is None:
         raise SimulationError("cannot migrate an idle API server")
-    if api_server.memory_device_id != api_server.current_device_id:
+    if api_server.memory_device_id != source_device_id:
         raise SimulationError(
             "cannot migrate a session whose memory was left behind by a "
             "peer-access move"
         )
 
-    t_start = env.now
     with api_server.exec_lock.request() as lock:
         # 1. quiesce: no new API calls; drain pending operations
         yield lock
@@ -79,77 +103,45 @@ def migrate_api_server(api_server, target_device_id: int) -> Generator:
             target_ctx = gpu_server.claim_migration_slot(api_server, target_device_id)
 
         # fixed overhead: driver coordination, context switch, bookkeeping
-        yield env.timeout(costs.migration_fixed_s)
+        yield env.timeout(api_server.costs.migration_fixed_s * fixed_cost_factor)
 
-        session = api_server.session
-        moved_bytes = 0
-        moved_allocs = 0
-        # 3. move every allocation, preserving virtual addresses
-        for va, size in sorted(session.allocations.items()):
-            old_mapping, _ = source_ctx.address_space.translate(va)
-            old_alloc = old_mapping.allocation
-            new_alloc = yield from driver.cuMemCreate(target_device_id, size)
-            # temporary-VA data move (modelled as the copy itself)
-            yield from driver.cuMemcpyDtoD(new_alloc, old_alloc, size)
-            yield env.timeout(costs.migration_per_allocation_s)
-            got = driver.cuMemAddressReserve(target_ctx, size, fixed_addr=va)
-            assert got == va, "fixed-address reservation must preserve the VA"
-            driver.cuMemMap(target_ctx, got, new_alloc)
-            # release the source-side resources
-            driver.cuMemUnmap(source_ctx, va)
-            driver.cuMemAddressFree(source_ctx, va)
-            yield from driver.cuMemRelease(old_alloc)
-            moved_bytes += size
-            moved_allocs += 1
+        # 3. the strategy's own data move
+        moved = yield from move_data(api_server, source_ctx, target_ctx)
 
-        # 4a. stream twins: ensure each guest stream has a twin in the
-        # destination context (pre-created twins may predate this context)
-        for twins in session.streams.values():
-            if target_device_id not in twins:
-                twins[target_device_id] = target_ctx.create_stream()
-
-        # 4b. events: recreate in the destination context
-        for token in list(session.events):
-            session.events[token] = target_ctx.create_event()
-
-        # 4c. cuDNN / cuBLAS handle twins from the target GPU's pool
-        pools = gpu_server.pools
-        for token, twins in session.cudnn_handles.items():
-            if target_device_id not in twins:
-                handle = pools.borrow_cudnn(target_device_id)
-                if handle is None:
-                    lib = api_server._cudnn_libs[target_device_id]
-                    h = yield from lib.cudnnCreate()
-                    handle = lib._handles[h]
-                else:
-                    session.borrowed_cudnn.append(handle)
-                twins[target_device_id] = handle
-        for token, twins in session.cublas_handles.items():
-            if target_device_id not in twins:
-                handle = pools.borrow_cublas(target_device_id)
-                if handle is None:
-                    lib = api_server._cublas_libs[target_device_id]
-                    h = yield from lib.cublasCreate()
-                    handle = lib._handles[h]
-                else:
-                    session.borrowed_cublas.append(handle)
-                twins[target_device_id] = handle
+        # 4. translate handles: twins in the destination context
+        yield from api_server.install_twins(target_device_id)
 
         # 5. switch and resume; release a previously claimed slot if this
         # server had already migrated once
-        previous = source_device_id
         api_server.current_device_id = target_device_id
-        api_server.memory_device_id = target_device_id
-        if previous != api_server.home_device_id:
-            gpu_server.release_migration_slot(api_server, previous)
+        if source_device_id != api_server.home_device_id:
+            gpu_server.release_migration_slot(api_server, source_device_id)
         api_server.migrations += 1
+    return moved
 
-    return MigrationRecord(
-        server_id=api_server.server_id,
-        source_device=source_device_id,
-        target_device=target_device_id,
-        moved_bytes=moved_bytes,
-        allocations_moved=moved_allocs,
-        started_at=t_start,
-        duration_s=env.now - t_start,
-    )
+
+def _move_preserving_addresses(api_server, source_ctx, target_ctx) -> Generator:
+    """DGSF: copy each allocation device-to-device into the *same* VA."""
+    env: Environment = api_server.env
+    driver = api_server.gpu_server.driver
+    target_device_id = target_ctx.device.device_id
+    moved_bytes = 0
+    moved_allocs = 0
+    for va, size in sorted(api_server.session.allocations.items()):
+        old_mapping, _ = source_ctx.address_space.translate(va)
+        old_alloc = old_mapping.allocation
+        new_alloc = yield from driver.cuMemCreate(target_device_id, size)
+        # temporary-VA data move (modelled as the copy itself)
+        yield from driver.cuMemcpyDtoD(new_alloc, old_alloc, size)
+        yield env.timeout(api_server.costs.migration_per_allocation_s)
+        got = driver.cuMemAddressReserve(target_ctx, size, fixed_addr=va)
+        assert got == va, "fixed-address reservation must preserve the VA"
+        driver.cuMemMap(target_ctx, got, new_alloc)
+        # release the source-side resources
+        driver.cuMemUnmap(source_ctx, va)
+        driver.cuMemAddressFree(source_ctx, va)
+        yield from driver.cuMemRelease(old_alloc)
+        moved_bytes += size
+        moved_allocs += 1
+    api_server.memory_device_id = target_device_id
+    return moved_bytes, moved_allocs

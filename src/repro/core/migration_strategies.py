@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator
 
-from repro.errors import SimulationError
-from repro.sim.core import Environment
+from repro.core.migration import migrate_api_server, run_migration
 
 __all__ = [
     "StrategyOutcome",
@@ -59,93 +58,46 @@ def checkpoint_restore_migration(api_server, target_device_id: int) -> Generator
     rewritten, which only works because our sessions track every
     allocation (a real application with device pointers embedded in
     device data structures would break, which is the paper's point).
+    Library-level snapshot bookkeeping (the train.Saver pass) doubles
+    the fixed overhead.
     """
-    env: Environment = api_server.env
-    gpu_server = api_server.gpu_server
-    driver = gpu_server.driver
-    costs = api_server.costs
-    source_device_id = api_server.current_device_id
-    if target_device_id == source_device_id:
-        raise SimulationError("migration target equals current GPU")
-    session = api_server.session
-    if session is None:
-        raise SimulationError("cannot migrate an idle API server")
-
-    t_start = env.now
-    with api_server.exec_lock.request() as lock:
-        yield lock
-        source_ctx = api_server.context
-        yield source_ctx.synchronize()
-        if target_device_id == api_server.home_device_id:
-            target_ctx = api_server.contexts[target_device_id]
-        else:
-            target_ctx = gpu_server.claim_migration_slot(api_server, target_device_id)
-        # library-level snapshot bookkeeping (the train.Saver pass)
-        yield env.timeout(costs.migration_fixed_s * 2)
-
-        moved = 0
-        source_device = source_ctx.device
-        target_device = target_ctx.device
-        old_allocations = dict(session.allocations)
-        session.allocations.clear()
-        for va, size in sorted(old_allocations.items()):
-            mapping, _ = source_ctx.address_space.translate(va)
-            old_alloc = mapping.allocation
-            # snapshot: D2H on the source...
-            yield source_device.copy_d2h(size)
-            host_copy = old_alloc.read(0, old_alloc.payload_bytes)
-            driver.cuMemUnmap(source_ctx, va)
-            driver.cuMemAddressFree(source_ctx, va)
-            yield from driver.cuMemRelease(old_alloc)
-            # ...restore: fresh allocation at a NEW address on the target
-            new_alloc = yield from driver.cuMemCreate(target_device_id, size)
-            new_va = driver.cuMemAddressReserve(target_ctx, size)
-            driver.cuMemMap(target_ctx, new_va, new_alloc)
-            yield target_device.copy_h2d(size)
-            new_alloc.write(0, host_copy)
-            session.allocations[new_va] = size
-            moved += size
-
-        # handle/stream state is rebuilt by the library on restore
-        for twins in session.streams.values():
-            if target_device_id not in twins:
-                twins[target_device_id] = target_ctx.create_stream()
-        for token in list(session.events):
-            session.events[token] = target_ctx.create_event()
-        for table, borrow, lib_map, borrowed in (
-            (session.cudnn_handles, gpu_server.pools.borrow_cudnn,
-             api_server._cudnn_libs, session.borrowed_cudnn),
-            (session.cublas_handles, gpu_server.pools.borrow_cublas,
-             api_server._cublas_libs, session.borrowed_cublas),
-        ):
-            for token, twins in table.items():
-                if target_device_id not in twins:
-                    handle = borrow(target_device_id)
-                    if handle is None:
-                        lib = lib_map[target_device_id]
-                        h = yield from (
-                            lib.cudnnCreate() if hasattr(lib, "cudnnCreate")
-                            else lib.cublasCreate()
-                        )
-                        handle = lib._handles[h]
-                    else:
-                        borrowed.append(handle)
-                    twins[target_device_id] = handle
-
-        previous = source_device_id
-        api_server.current_device_id = target_device_id
-        api_server.memory_device_id = target_device_id
-        if previous != api_server.home_device_id:
-            gpu_server.release_migration_slot(api_server, previous)
-        api_server.migrations += 1
-
+    t_start = api_server.env.now
+    moved = yield from run_migration(api_server, target_device_id, 2, _snapshot_restore)
     return StrategyOutcome(
         strategy="checkpoint_restore",
-        duration_s=env.now - t_start,
+        duration_s=api_server.env.now - t_start,
         moved_bytes=moved,
         residual_source_bytes=0,
         post_access_penalty=1.0,
     )
+
+
+def _snapshot_restore(api_server, source_ctx, target_ctx) -> Generator:
+    driver = api_server.gpu_server.driver
+    session = api_server.session
+    target_device_id = target_ctx.device.device_id
+    moved = 0
+    old_allocations = dict(session.allocations)
+    session.allocations.clear()
+    for va, size in sorted(old_allocations.items()):
+        mapping, _ = source_ctx.address_space.translate(va)
+        old_alloc = mapping.allocation
+        # snapshot: D2H on the source...
+        yield source_ctx.device.copy_d2h(size)
+        host_copy = old_alloc.read(0, old_alloc.payload_bytes)
+        driver.cuMemUnmap(source_ctx, va)
+        driver.cuMemAddressFree(source_ctx, va)
+        yield from driver.cuMemRelease(old_alloc)
+        # ...restore: fresh allocation at a NEW address on the target
+        new_alloc = yield from driver.cuMemCreate(target_device_id, size)
+        new_va = driver.cuMemAddressReserve(target_ctx, size)
+        driver.cuMemMap(target_ctx, new_va, new_alloc)
+        yield target_ctx.device.copy_h2d(size)
+        new_alloc.write(0, host_copy)
+        session.allocations[new_va] = size
+        moved += size
+    api_server.memory_device_id = target_device_id
+    return moved
 
 
 #: remote (peer) memory access slowdown under DCUDA-style migration:
@@ -156,64 +108,36 @@ PEER_ACCESS_PENALTY = 2.5
 def peer_access_migration(api_server, target_device_id: int) -> Generator:
     """DCUDA-style: switch execution, leave the data on the source GPU.
 
-    Migration is almost instantaneous, but (a) the source GPU's memory is
-    not freed — it cannot host another function — and (b) every kernel
-    afterwards pays remote-access overhead.  The caller applies the
-    returned ``post_access_penalty`` to subsequent kernel work.
+    Migration is almost instantaneous (a tenth of the fixed overhead),
+    but (a) the source GPU's memory is not freed — it cannot host another
+    function — and (b) every kernel afterwards pays remote-access
+    overhead: the server scales later kernel work by
+    ``post_access_penalty`` until the session ends.
     """
-    env: Environment = api_server.env
-    gpu_server = api_server.gpu_server
-    costs = api_server.costs
-    source_device_id = api_server.current_device_id
-    if target_device_id == source_device_id:
-        raise SimulationError("migration target equals current GPU")
-    session = api_server.session
-    if session is None:
-        raise SimulationError("cannot migrate an idle API server")
-
-    t_start = env.now
-    with api_server.exec_lock.request() as lock:
-        yield lock
-        source_ctx = api_server.context
-        yield source_ctx.synchronize()
-        if target_device_id == api_server.home_device_id:
-            target_ctx = api_server.contexts[target_device_id]
-        else:
-            target_ctx = gpu_server.claim_migration_slot(api_server, target_device_id)
-        # execution state switch only; data stays put
-        yield env.timeout(costs.migration_fixed_s * 0.1)
-        for twins in session.streams.values():
-            if target_device_id not in twins:
-                twins[target_device_id] = target_ctx.create_stream()
-        for token in list(session.events):
-            session.events[token] = target_ctx.create_event()
-        residual = sum(session.allocations.values())
-        previous = source_device_id
-        api_server.current_device_id = target_device_id
-        # memory_device_id intentionally stays at the source: the data was
-        # not moved, and future memory ops/frees go to the source context
-        api_server.kernel_work_multiplier = PEER_ACCESS_PENALTY
-        if previous != api_server.home_device_id:
-            gpu_server.release_migration_slot(api_server, previous)
-        api_server.migrations += 1
-        # NOTE: the VA map still lives in the *source* context; kernels
-        # reach it through peer access.  We leave translate() pointing at
-        # the source space by keeping the session allocations as-is; the
-        # penalty models the remote faults.
-
+    t_start = api_server.env.now
+    residual = yield from run_migration(api_server, target_device_id, 0.1, _leave_in_place)
     return StrategyOutcome(
         strategy="peer_access",
-        duration_s=env.now - t_start,
+        duration_s=api_server.env.now - t_start,
         moved_bytes=0,
         residual_source_bytes=residual,
         post_access_penalty=PEER_ACCESS_PENALTY,
     )
 
 
+def _leave_in_place(api_server, source_ctx, target_ctx) -> Generator:
+    # memory_device_id stays at the source: the data is not moved, and the
+    # VA map still lives in the *source* context, so future memory ops and
+    # frees go there; kernels reach it through peer access, which the
+    # penalty models
+    api_server.kernel_work_multiplier = PEER_ACCESS_PENALTY
+    if False:
+        yield
+    return sum(api_server.session.allocations.values())
+
+
 def _dgsf_strategy(api_server, target_device_id: int) -> Generator:
     """DGSF's own strategy wrapped in the common outcome type."""
-    from repro.core.migration import migrate_api_server
-
     record = yield from migrate_api_server(api_server, target_device_id)
     return StrategyOutcome(
         strategy="dgsf",

@@ -793,6 +793,7 @@ class Environment:
                             room -= 1
                         continue
                     if when < now:
+                        self._cur_pos = pos
                         raise SimulationError("event scheduled in the past")
                     now = when
                     processed += 1
@@ -838,7 +839,10 @@ class Environment:
                     else:
                         if not event._ok and not event._defused:
                             # Unhandled failure with no subscribers (e.g. a
-                            # crashed process nobody joined): still aborts.
+                            # crashed process nobody joined): still aborts,
+                            # leaving the drain position past this entry so
+                            # a later run() resumes with the next one.
+                            self._cur_pos = pos
                             self._now = when
                             raise event._value
                         if (

@@ -8,8 +8,8 @@ A behavioural model of the NVIDIA software stack DGSF interposes:
   CUDA 10.2 low-level virtual-address-management functions
   (``cuMemCreate`` / ``cuMemAddressReserve`` / ``cuMemMap``) that DGSF's
   live migration is built on,
-* :mod:`~repro.simcuda.cudnn` / :mod:`~repro.simcuda.cublas` — handle-based
-  vendor libraries with the paper's measured creation costs and footprints,
+* :mod:`~repro.simcuda.libs` — cuDNN and cuBLAS, one handle-based library
+  model with the paper's measured creation costs and footprints per kind,
 * :mod:`~repro.simcuda.device` — the GPU itself: memory accounting, a
   processor-sharing compute engine (Hyper-Q), and copy engines,
 * :mod:`~repro.simcuda.nvml` — utilization sampling with NVML's
@@ -36,8 +36,12 @@ from repro.simcuda.stream import Stream, CudaEvent
 from repro.simcuda.kernels import KernelDef, KernelRegistry, builtin_registry
 from repro.simcuda.runtime import LocalCudaRuntime, CudaRuntimeAPI
 from repro.simcuda.driver import DriverAPI
-from repro.simcuda.cudnn import CudnnHandle, CudnnDescriptor, CudnnLibrary
-from repro.simcuda.cublas import CublasHandle, CublasLibrary
+from repro.simcuda.libs import (
+    LIBRARY_KINDS,
+    CudnnDescriptor,
+    LibraryHandle,
+    VendorLibrary,
+)
 from repro.simcuda.nvml import NvmlSampler, moving_average
 
 __all__ = [
@@ -62,11 +66,10 @@ __all__ = [
     "LocalCudaRuntime",
     "CudaRuntimeAPI",
     "DriverAPI",
-    "CudnnHandle",
+    "LIBRARY_KINDS",
     "CudnnDescriptor",
-    "CudnnLibrary",
-    "CublasHandle",
-    "CublasLibrary",
+    "LibraryHandle",
+    "VendorLibrary",
     "NvmlSampler",
     "moving_average",
 ]

@@ -39,6 +39,23 @@ DISCIPLINE_GOLDENS = {
     "sff_aged": (190.80676231822642, 1737.078470391451),
     "mqfq": (178.45615095292126, 1609.4807497078716),
 }
+#: Fig. 8's best-fit + migration scenario (seed 0): the one migration as
+#: (server, source GPU, target GPU, moved bytes, duration) and each
+#: invocation's e2e in submission order
+FIG8_MIGRATION_RECORD = (0, 0, 1, 4_120_844_697, 0.9313608859842191)
+FIG8_MIGRATION_E2E = [
+    54.78045926204719,
+    53.996854145915265,
+    27.511278428091373,
+    47.52649562138205,
+]
+#: each Table I strategy moving a guest that holds a 64 MB allocation, one
+#: cuDNN and one cuBLAS handle from GPU 0 to GPU 1
+STRATEGY_DURATIONS = {
+    "dgsf": 0.3592552235333333,
+    "checkpoint_restore": 0.7120517342094859,
+    "peer_access": 0.03500000000000014,
+}
 
 
 def test_single_invocation_timeline_is_bit_identical():
@@ -116,3 +133,40 @@ def test_mixed_scenario_with_full_observability_is_bit_identical():
     rows = invocation_critpaths(dep.tracer, res.invocations)
     assert len(rows) == len(res.invocations)
     assert all(row["coverage"] >= 0.95 for row in rows)
+
+
+def test_fig8_migration_timeline_is_bit_identical():
+    from repro.core.deployment import DgsfDeployment
+    from repro.experiments.fig8 import SCENARIOS
+    from repro.workloads import register_workloads
+
+    overrides = dict(SCENARIOS)["sharing2_best_fit_migration"]
+    dep = DgsfDeployment(DgsfConfig(num_gpus=2, seed=0, **overrides))
+    dep.setup()
+    register_workloads(dep.platform, names=["nlp_qa", "image_classification"])
+    started = [
+        dep.platform.invoke(name)
+        for name in ("nlp_qa", "nlp_qa", "image_classification", "image_classification")
+    ]
+    dep.env.run(until=dep.env.all_of([proc for _, proc in started]))
+    [record] = dep.gpu_server.monitor.migration_records
+    assert (
+        record.server_id, record.source_device, record.target_device,
+        record.moved_bytes, record.duration_s,
+    ) == FIG8_MIGRATION_RECORD
+    assert [inv.e2e_s for inv, _ in started] == FIG8_MIGRATION_E2E
+
+
+def test_every_migration_strategy_duration_is_bit_identical():
+    from repro.core.migration_strategies import MIGRATION_STRATEGIES
+    from repro.simcuda.types import MB
+    from repro.testing import make_world
+
+    for name, strategy in MIGRATION_STRATEGIES.items():
+        world = make_world(DgsfConfig(num_gpus=2))
+        guest, server, rpc = world.attach_guest()
+        world.drive(guest.cudaMalloc(64 * MB))
+        world.drive(guest.cudnnCreate())
+        world.drive(guest.cublasCreate())
+        outcome = world.drive(strategy(server, 1))
+        assert outcome.duration_s == STRATEGY_DURATIONS[name], name

@@ -211,6 +211,28 @@ def test_run_until_event_that_fails_during_run():
     assert env.now == 2
 
 
+@pytest.mark.parametrize("env_cls", [Environment, LegacyHeapEnvironment])
+def test_run_resumes_after_unjoined_process_fails(env_cls):
+    """A failure nobody joined aborts run(); the next run() must carry on
+    from the following event instead of re-reading the popped slot."""
+    env = env_cls()
+
+    def crasher(env):
+        yield env.timeout(1)
+        raise ValueError("unjoined")
+
+    def survivor(env):
+        yield env.timeout(2)
+        return "survived"
+
+    env.process(crasher(env))
+    other = env.process(survivor(env))
+    with pytest.raises(ValueError, match="unjoined"):
+        env.run()
+    assert env.run(until=other) == "survived"
+    assert env.now == 2
+
+
 def test_interrupt_process_whose_target_already_triggered():
     """Interrupt lands while the victim's awaited timeout is already in
     the queue (triggered, not yet processed): the victim must get the

@@ -1,16 +1,15 @@
-"""Unit tests for the cuDNN and cuBLAS library models."""
+"""Unit tests for the cuDNN/cuBLAS library model."""
 
 import pytest
 
 from repro.sim import Environment
 from repro.simcuda import (
     CudaError,
-    CudnnLibrary,
-    CublasLibrary,
     DriverAPI,
     SimGPU,
+    VendorLibrary,
 )
-from repro.simcuda.cudnn import DESCRIPTOR_KINDS
+from repro.simcuda.libs import DESCRIPTOR_KINDS
 from repro.simcuda.types import MB
 
 
@@ -32,23 +31,25 @@ def drive(env, gen):
 
 def test_cudnn_handle_costs_time_and_memory(setup):
     env, gpu, ctx = setup
-    lib = CudnnLibrary(env, ctx)
+    lib = VendorLibrary(env, ctx)
     t0 = env.now
-    handle = drive(env, lib.cudnnCreate())
+    handle = drive(env, lib.create("cudnn"))
     assert env.now - t0 == pytest.approx(1.2)
+    assert (handle.kind, handle.nbytes) == ("cudnn", 386 * MB)
     assert gpu.mem_used == 303 * MB + 386 * MB
-    drive(env, lib.cudnnDestroy(handle))
+    drive(env, lib.destroy(handle.handle))
     assert gpu.mem_used == 303 * MB
 
 
 def test_cublas_handle_costs_time_and_memory(setup):
     env, gpu, ctx = setup
-    lib = CublasLibrary(env, ctx)
+    lib = VendorLibrary(env, ctx)
     t0 = env.now
-    handle = drive(env, lib.cublasCreate())
+    handle = drive(env, lib.create("cublas"))
     assert env.now - t0 == pytest.approx(0.2)
+    assert (handle.kind, handle.nbytes) == ("cublas", 70 * MB)
     assert gpu.mem_used == 303 * MB + 70 * MB
-    drive(env, lib.cublasDestroy(handle))
+    drive(env, lib.destroy(handle.handle))
     assert gpu.mem_used == 303 * MB
 
 
@@ -56,46 +57,45 @@ def test_idle_api_server_footprint_matches_paper(setup):
     """Context + cuDNN + cuBLAS handles ≈ 755 MB (paper §V-C: 759 MB raw,
     reported as 755 MB)."""
     env, gpu, ctx = setup
-    cudnn = CudnnLibrary(env, ctx)
-    cublas = CublasLibrary(env, ctx)
-    drive(env, cudnn.cudnnCreate())
-    drive(env, cublas.cublasCreate())
+    lib = VendorLibrary(env, ctx)
+    drive(env, lib.create("cudnn"))
+    drive(env, lib.create("cublas"))
     total_mb = gpu.mem_used / MB
     assert 750 <= total_mb <= 765
 
 
 def test_cudnn_descriptor_lifecycle(setup):
     env, gpu, ctx = setup
-    lib = CudnnLibrary(env, ctx)
+    lib = VendorLibrary(env, ctx)
     for kind in DESCRIPTOR_KINDS:
-        desc = drive(env, lib.cudnnCreateDescriptor(kind))
-        drive(env, lib.cudnnSetDescriptor(desc, n=1, c=3, h=224, w=224))
-        drive(env, lib.cudnnDestroyDescriptor(desc))
+        desc = drive(env, lib.create_descriptor(kind))
+        drive(env, lib.set_descriptor(desc, n=1, c=3, h=224, w=224))
+        drive(env, lib.destroy_descriptor(desc))
         with pytest.raises(CudaError):
-            drive(env, lib.cudnnDestroyDescriptor(desc))
+            drive(env, lib.destroy_descriptor(desc))
 
 
 def test_cudnn_descriptor_bad_kind(setup):
     env, gpu, ctx = setup
-    lib = CudnnLibrary(env, ctx)
+    lib = VendorLibrary(env, ctx)
     with pytest.raises(CudaError):
-        drive(env, lib.cudnnCreateDescriptor("not-a-kind"))
+        drive(env, lib.create_descriptor("not-a-kind"))
 
 
 def test_cudnn_op_requires_valid_handle(setup):
     env, gpu, ctx = setup
-    lib = CudnnLibrary(env, ctx)
+    lib = VendorLibrary(env, ctx)
     with pytest.raises(CudaError):
-        drive(env, lib.cudnnConvolutionForward(0xBAD, 0.001))
+        drive(env, lib.op(0xBAD, "conv_fwd", 0.001))
 
 
 def test_cudnn_op_executes_on_gpu(setup):
     env, gpu, ctx = setup
-    lib = CudnnLibrary(env, ctx)
-    handle = drive(env, lib.cudnnCreate())
+    lib = VendorLibrary(env, ctx)
+    handle = drive(env, lib.create("cudnn"))
 
     def run(env):
-        done = yield from lib.cudnnConvolutionForward(handle, 0.5)
+        done = yield from lib.op(handle.handle, "conv_fwd", 0.5)
         yield done
 
     t0 = env.now
@@ -105,11 +105,11 @@ def test_cudnn_op_executes_on_gpu(setup):
 
 def test_cublas_gemm_executes_on_gpu(setup):
     env, gpu, ctx = setup
-    lib = CublasLibrary(env, ctx)
-    handle = drive(env, lib.cublasCreate())
+    lib = VendorLibrary(env, ctx)
+    handle = drive(env, lib.create("cublas"))
 
     def run(env):
-        done = yield from lib.cublasSgemm(handle, 0.25)
+        done = yield from lib.op(handle.handle, "sgemm", 0.25)
         yield done
 
     t0 = env.now
@@ -119,27 +119,24 @@ def test_cublas_gemm_executes_on_gpu(setup):
 
 def test_negative_work_rejected(setup):
     env, gpu, ctx = setup
-    cudnn = CudnnLibrary(env, ctx)
-    cublas = CublasLibrary(env, ctx)
-    h1 = drive(env, cudnn.cudnnCreate())
-    h2 = drive(env, cublas.cublasCreate())
-    with pytest.raises(CudaError):
-        drive(env, cudnn.cudnnOp(h1, "x", -1.0))
-    with pytest.raises(CudaError):
-        drive(env, cublas.cublasOp(h2, "x", -1.0))
+    lib = VendorLibrary(env, ctx)
+    for kind in ("cudnn", "cublas"):
+        handle = drive(env, lib.create(kind))
+        with pytest.raises(CudaError):
+            drive(env, lib.op(handle.handle, "x", -1.0))
 
 
 def test_adopted_handles_are_usable(setup):
     """API servers pool handles created elsewhere; the library must accept
     an adopted handle as its own."""
     env, gpu, ctx = setup
-    lib1 = CudnnLibrary(env, ctx)
-    handle = drive(env, lib1.cudnnCreate())
-    lib2 = CudnnLibrary(env, ctx)
-    lib2.adopt_handle(lib1._handles[handle])
+    lib1 = VendorLibrary(env, ctx)
+    handle = drive(env, lib1.create("cudnn"))
+    lib2 = VendorLibrary(env, ctx)
+    lib2.adopt(handle)
 
     def run(env):
-        done = yield from lib2.cudnnConvolutionForward(handle, 0.01)
+        done = yield from lib2.op(handle.handle, "conv_fwd", 0.01)
         yield done
 
     drive(env, run(env))  # no error
