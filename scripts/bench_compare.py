@@ -1,32 +1,31 @@
 #!/usr/bin/env python
 """Perf-regression gate: diff a fresh bench JSON against a committed baseline.
 
-The simulator is deterministic, so a same-seed rerun of
-``scripts/bench_baseline.py`` / ``scripts/bench_sched.py`` /
-``scripts/bench_kernel.py`` must land within a tight tolerance band of
-the committed ``BENCH_ablation.json`` / ``BENCH_sched.json`` /
-``BENCH_kernel.json``.  This script compares the two row-by-row:
+Every committed ``BENCH_*.json`` declares its own gates in its header,
+written by the producer that makes its rows (``python -m
+repro.experiments NAME --out PATH`` or ``scripts/bench_kernel.py``)::
 
-* **compat keys** (``experiment``, ``seed``, ``copies``) must match —
-  comparing runs with different parameters is a configuration error
-  (exit 2), not a pass,
-* rows are matched by identity (``workload`` for the ablation file,
-  ``discipline`` + ``size_class`` for the scheduler file); the fresh run
-  may cover a *subset* of the baseline's rows (CI runs two workloads),
-  but every fresh row must exist in the baseline,
-* every numeric metric must satisfy
+    "gates": {"<section>": {"key": [...], "exact": [...], "ignore": [...]}}
+
+This script reads that declaration from the baseline and compares the
+two files section by section, with no per-experiment code:
+
+* **compat keys** (``experiment``, ``seed``, ``copies``, ``events``) must
+  match — comparing runs with different parameters is a configuration
+  error (exit 2), not a pass, and so is a baseline without gates,
+* rows are matched by their section's ``key`` fields; every baseline row
+  must be in the fresh run and every fresh row in the baseline,
+* ``exact`` fields (counts, order and outcome digests) must be equal,
+* ``ignore``d fields (machine-dependent wall and throughput numbers) are
+  never compared — the kernel and shard benches keep those honest with
+  their own floors instead,
+* every other numeric field must satisfy
   ``|fresh - base| <= abs_tol + rel_tol * |base|`` — deviations in
   either direction fail, because in a deterministic simulator "faster"
-  is just as much a behaviour change as "slower",
-* count fields (``n``) must match exactly.
+  is just as much a behaviour change as "slower".
 
-Environment-dependent keys (``python``, ``wall_seconds``) are ignored,
-as are machine-dependent per-row throughput fields (``events_per_sec``,
-``wall_s``, ``speedup``) — the kernel bench gates its speedup with its
-own ``--min-speedup`` floor instead.  Deterministic kernel-bench fields
-(event counts, the ``order_crc`` pop-order digest) are compared exactly:
-an order-digest change means the event wheel stopped popping in heap
-order, which is a correctness regression however fast it runs.
+Environment header keys (``python``, ``cpu_count``, ``wall_seconds``) are
+never compared.
 
 Exit status: 0 = within tolerance, 1 = regression (prints every
 violation), 2 = files not comparable.
@@ -54,50 +53,8 @@ import json
 import sys
 from pathlib import Path
 
-#: experiment name -> [(section key, identity fields)]
-SECTIONS = {
-    "fig4_ablation_plus_async_cache": [
-        ("ablation", ("workload",)),
-        ("warm_cache", ("workload",)),
-    ],
-    "sched_ablation": [
-        ("rows", ("discipline", "size_class")),
-    ],
-    "kernel_bench": [
-        ("scenarios", ("scenario", "impl")),
-        ("speedups", ("scenario",)),
-        ("order", ("scenario",)),
-    ],
-    "shard_bench": [
-        ("scaleout", ("scenario", "shards")),
-        ("smoke", ("scenario", "shards")),
-        ("tracing", ("scenario", "shards")),
-    ],
-    "llm_bench": [
-        ("rows", ("scenario", "mode")),
-    ],
-}
-
 #: top-level keys that must match for two runs to be comparable
 COMPAT_KEYS = ("experiment", "seed", "copies", "events")
-
-#: per-row fields compared exactly (counts and order digests, not timings);
-#: the shard bench's merged_crc/pop_crc are outcome digests — a mismatch
-#: means the sharded run's merged result changed, a correctness regression —
-#: and its trace_digest/n_spans pin the merged span timeline the same way
-EXACT_FIELDS = {"n", "n_events", "order_n", "order_crc",
-                "merged_crc", "pop_crc", "n_epochs", "n_envelopes",
-                "invocations", "groups", "trace_digest", "n_spans",
-                "n_requests", "n_tokens", "n_iterations", "n_preemptions",
-                "n_kv_denials", "n_recomputes", "n_migrations"}
-
-#: per-row fields never compared: machine-dependent throughput/wall numbers
-#: (the kernel bench keeps its speedup honest via its own --min-speedup
-#: floor, the shard bench via --min-scaleout and --max-trace-overhead,
-#: not via cross-machine banding)
-IGNORED_FIELDS = {"events_per_sec", "sched_events_per_sec", "wall_s",
-                  "sched_wall_s", "speedup", "scaleout",
-                  "events_per_sec_ratio"}
 
 
 def load(path: Path) -> dict:
@@ -116,43 +73,45 @@ def check_compat(baseline: dict, fresh: dict,
         b, f = baseline.get(key), fresh.get(key)
         if b is not None and f is not None and b != f:
             problems.append(f"compat key {key!r} differs: baseline={b} fresh={f}")
-    if baseline.get("experiment") not in SECTIONS:
-        problems.append(
-            f"unknown experiment {baseline.get('experiment')!r} "
-            f"(known: {sorted(SECTIONS)})"
-        )
+    if not baseline.get("gates"):
+        problems.append("baseline declares no gates (regenerate it with its "
+                        "producer)")
     return problems
 
 
-def index_rows(rows: list[dict], identity: tuple) -> dict:
+def index_rows(rows: list[dict], key: list) -> dict:
     out = {}
     for row in rows:
-        key = tuple(row.get(field) for field in identity)
-        out[key] = row
+        out[tuple(row.get(field) for field in key)] = row
     return out
 
 
-def compare_section(section: str, identity: tuple, base_rows: list,
-                    fresh_rows: list, rel_tol: float, abs_tol: float,
-                    require_full: bool) -> list[str]:
+def compare_section(section: str, gate: dict, base_rows: list,
+                    fresh_rows: list, rel_tol: float,
+                    abs_tol: float) -> list[str]:
+    key = gate["key"]
+    exact = set(gate["exact"])
+    skipped = set(key) | set(gate["ignore"])
+    base_by_key = index_rows(base_rows, key)
+    fresh_by_key = index_rows(fresh_rows, key)
     problems = []
-    base_by_key = index_rows(base_rows, identity)
-    fresh_by_key = index_rows(fresh_rows, identity)
-    for key, fresh_row in fresh_by_key.items():
-        label = f"{section}[{'/'.join(str(k) for k in key)}]"
-        base_row = base_by_key.get(key)
-        if base_row is None:
-            problems.append(f"{label}: row missing from baseline")
+    for row_key in fresh_by_key.keys() - base_by_key.keys():
+        problems.append(f"{section}[{'/'.join(str(k) for k in row_key)}]: "
+                        f"row missing from baseline")
+    for row_key, base_row in base_by_key.items():
+        label = f"{section}[{'/'.join(str(k) for k in row_key)}]"
+        fresh_row = fresh_by_key.get(row_key)
+        if fresh_row is None:
+            problems.append(f"{label}: row missing from fresh run")
             continue
         for field, base_val in base_row.items():
-            if (field in identity or field in IGNORED_FIELDS
-                    or not isinstance(base_val, (int, float))):
+            if field in skipped or not isinstance(base_val, (int, float)):
                 continue
             fresh_val = fresh_row.get(field)
             if not isinstance(fresh_val, (int, float)):
                 problems.append(f"{label}.{field}: missing from fresh run")
                 continue
-            if field in EXACT_FIELDS:
+            if field in exact:
                 if fresh_val != base_val:
                     problems.append(
                         f"{label}.{field}: count changed "
@@ -166,30 +125,24 @@ def compare_section(section: str, identity: tuple, base_rows: list,
                     f"{label}.{field}: {base_val} -> {fresh_val} "
                     f"(delta {delta:+.4f} exceeds band ±{band:.4f})"
                 )
-    if require_full:
-        for key in base_by_key:
-            if key not in fresh_by_key:
-                problems.append(
-                    f"{section}[{'/'.join(str(k) for k in key)}]: "
-                    f"row missing from fresh run (--require-full)"
-                )
     return problems
 
 
-def attribution_maps(sections, baseline: dict, fresh: dict) -> tuple[dict, dict]:
+def attribution_maps(gates: dict, baseline: dict,
+                     fresh: dict) -> tuple[dict, dict]:
     """Collect per-row ``attribution`` maps, keyed by the row identity."""
     base_attr: dict = {}
     fresh_attr: dict = {}
-    for section, identity in sections:
+    for section, gate in gates.items():
         for source, out in ((baseline, base_attr), (fresh, fresh_attr)):
             for row in source.get(section, []):
                 if isinstance(row.get("attribution"), dict):
-                    label = "/".join(str(row.get(f)) for f in identity)
+                    label = "/".join(str(row.get(f)) for f in gate["key"])
                     out[label] = row["attribution"]
     return base_attr, fresh_attr
 
 
-def explain(sections, baseline: dict, fresh: dict,
+def explain(gates: dict, baseline: dict, fresh: dict,
             out_path: Path | None) -> list[dict]:
     """Attribute the regression; prints the diff table, returns its rows.
 
@@ -199,7 +152,7 @@ def explain(sections, baseline: dict, fresh: dict,
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from repro.obs.diff import diff_attribution, format_diff_row
 
-    base_attr, fresh_attr = attribution_maps(sections, baseline, fresh)
+    base_attr, fresh_attr = attribution_maps(gates, baseline, fresh)
     rows = diff_attribution(base_attr, fresh_attr)
     if not rows:
         print("explain: rows carry no attribution maps to diff "
@@ -227,12 +180,9 @@ def main(argv=None) -> int:
                         help="relative tolerance per metric (default 2%%)")
     parser.add_argument("--abs-tol", type=float, default=0.05,
                         help="absolute tolerance in metric units (default 0.05)")
-    parser.add_argument("--require-full", action="store_true",
-                        help="fail if the fresh run covers fewer rows than "
-                             "the baseline (default: subsets allowed)")
     parser.add_argument("--sections", default=None,
                         help="comma-separated section names to compare "
-                             "(default: every section of the experiment); "
+                             "(default: every section the baseline gates); "
                              "used when a quick fresh run only reproduces "
                              "the profile-independent sections")
     parser.add_argument("--skip-compat", action="append", default=[],
@@ -261,25 +211,24 @@ def main(argv=None) -> int:
             print(f"  - {p}", file=sys.stderr)
         return 2
 
-    sections = SECTIONS[baseline["experiment"]]
+    gates = baseline["gates"]
     if args.sections is not None:
         wanted = {name.strip() for name in args.sections.split(",") if name.strip()}
-        unknown = wanted - {name for name, _ in sections}
+        unknown = wanted - gates.keys()
         if unknown:
             print(f"NOT COMPARABLE: unknown section(s) {sorted(unknown)} for "
                   f"experiment {baseline['experiment']!r}", file=sys.stderr)
             return 2
-        sections = [(name, ident) for name, ident in sections if name in wanted]
+        gates = {name: gate for name, gate in gates.items() if name in wanted}
 
     problems = []
     compared = 0
-    for section, identity in sections:
-        base_rows = baseline.get(section, [])
+    for section, gate in gates.items():
         fresh_rows = fresh.get(section, [])
-        compared += len(index_rows(fresh_rows, identity))
+        compared += len(fresh_rows)
         problems += compare_section(
-            section, identity, base_rows, fresh_rows,
-            args.rel_tol, args.abs_tol, args.require_full,
+            section, gate, baseline.get(section, []), fresh_rows,
+            args.rel_tol, args.abs_tol,
         )
 
     if compared == 0:
@@ -291,7 +240,7 @@ def main(argv=None) -> int:
         for p in problems:
             print(f"  - {p}", file=sys.stderr)
         if args.explain:
-            explain(sections, baseline, fresh, args.explain_out)
+            explain(gates, baseline, fresh, args.explain_out)
         return 1
     print(f"OK: {compared} row(s) of {args.fresh} within "
           f"±({args.abs_tol} + {args.rel_tol * 100:g}%) of {args.baseline}")

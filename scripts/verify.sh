@@ -43,11 +43,14 @@ PYTHONPATH=src python scripts/profile_report.py \
     --out-dir "${PROFILE_OUT_DIR:-/tmp/dgsf-profile}" \
     --min-coverage 0.95
 
-echo "== scheduler ablation smoke (bench_sched) =="
-# copies must match the committed BENCH_sched.json baseline (copies=4)
-# or bench_compare refuses the comparison
+echo "== scheduler ablation smoke (experiments sched) =="
+# seed and copies must match the committed BENCH_sched.json (seed=3,
+# copies=4) or bench_compare refuses the comparison.  Every baseline row
+# must come back: bench_compare reads each file's declared gates and
+# fails on a missing row.
 SCHED_OUT="${SCHED_BENCH_OUT:-/tmp/dgsf-bench-sched.json}"
-PYTHONPATH=src python scripts/bench_sched.py --copies 4 --out "$SCHED_OUT"
+PYTHONPATH=src python -m repro.experiments sched --seed 3 --copies 4 \
+    --out "$SCHED_OUT"
 
 echo "== perf-regression gate (bench_compare) =="
 python scripts/bench_compare.py BENCH_sched.json "$SCHED_OUT"
@@ -67,31 +70,31 @@ echo "== kernel-bench regression gate (bench_compare) =="
 python scripts/bench_compare.py BENCH_kernel.json "$KERNEL_OUT" \
     --sections order --skip-compat events
 
-echo "== sharded-simulation smoke (bench_shard) =="
-# Regenerates the smoke section (merged-outcome digests are exact and
-# machine-independent; throughput fields are ignored by the gate). The
-# committed scaleout section (1M invocations) is a manual refresh.
-# --min-scaleout is a loose sanity floor for the ~1s smoke workload, where
-# worker spawn overhead is a big slice of wall time; the >=2x expectation
-# applies to the full 1M profile on a >=4-core box. bench_shard skips the
-# floor entirely when the machine has fewer cores than shards.
+echo "== sharded-simulation smoke (experiments shard) =="
+# --copies 0 skips the 1M-invocation scaleout section (a manual refresh,
+# --copies 10) and regenerates the smoke rows at 1/2/4/8 shards plus the
+# tracing rows.  The run fails itself if the merged digest moves across
+# shard counts or with tracing, if the 1-shard pop order differs from a
+# plain single-process run, or, on a machine with >= 4 cores, if the
+# pool at 4 shards runs below 1.2x the 1-shard events/sec.
 SHARD_OUT="${SHARD_BENCH_OUT:-/tmp/dgsf-bench-shard.json}"
-PYTHONPATH=src python scripts/bench_shard.py --profile smoke \
-    --out "$SHARD_OUT" --min-scaleout 1.2
+PYTHONPATH=src python -m repro.experiments shard --seed 7 --copies 0 \
+    --out "$SHARD_OUT"
 
 echo "== shard-bench regression gate (bench_compare) =="
 # smoke gates the merged-outcome digests; tracing gates the merged
-# trace_digest/n_spans exactly (the events_per_sec_ratio overhead field
-# is recorded in the JSON but never banded — it is machine-dependent)
+# trace_digest/n_spans exactly (throughput fields are declared ignored —
+# they are machine-dependent)
 python scripts/bench_compare.py BENCH_shard.json "$SHARD_OUT" \
     --sections smoke,tracing
 
-echo "== LLM serving smoke (bench_llm) =="
-# copies must match the committed BENCH_llm.json baseline (copies=2) or
-# bench_compare refuses the comparison.  bench_llm also self-asserts the
-# headline claim (continuous beats request-level on steady-chat p99).
+echo "== LLM serving smoke (experiments llm) =="
+# seed and copies must match the committed BENCH_llm.json (seed=0,
+# copies=2).  The run also fails itself unless continuous batching beats
+# request-level on steady-chat p99 token latency.
 LLM_OUT="${LLM_BENCH_OUT:-/tmp/dgsf-bench-llm.json}"
-PYTHONPATH=src python scripts/bench_llm.py --copies 2 --out "$LLM_OUT"
+PYTHONPATH=src python -m repro.experiments llm --seed 0 --copies 2 \
+    --out "$LLM_OUT"
 
 echo "== llm-bench regression gate (bench_compare) =="
 # token/iteration/preemption/migration counts gate exactly; latency

@@ -447,12 +447,7 @@ class GuestLibrary:
             )
         # one-way: ordering is guaranteed by the FIFO connection and the
         # server's sequential dispatch; the next sync call observes it
-        gen = self.rpc.call_batch(batch, oneway=True)
-        # oneway batches complete synchronously on the client side
-        try:
-            next(gen)
-        except (StopIteration, TypeError):
-            pass
+        self.rpc.send_batch(batch)
 
     # ======================= CUDA runtime surface =======================
 

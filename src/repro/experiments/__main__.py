@@ -6,13 +6,25 @@ Usage::
     python -m repro.experiments fig8
     python -m repro.experiments all          # everything (several minutes)
     python -m repro.experiments table3 --copies 5 --seed 1
+    python -m repro.experiments sched --seed 3 --copies 4 --out BENCH_sched.json
+
+``fig4``, ``sched``, ``llm`` and ``shard`` write their committed
+``BENCH_*.json`` baseline with ``--out``: a header (``experiment``,
+``seed``, ``copies``, ``python``, ``cpu_count``, ``wall_seconds`` and the
+module's ``gates`` declaration) followed by the module's sections.
+``scripts/bench_compare.py`` gates a fresh file against the committed one
+by the baseline's declared gates.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
 import sys
 import time
+from pathlib import Path
 
 from repro.experiments import (
     table2, table3, table4, table5, fig3, fig4, fig5, fig6, fig7, fig8,
@@ -26,23 +38,63 @@ EXPERIMENTS = [
 ]
 
 
+#: experiments whose sections make a committed ``BENCH_*.json`` (``--out``)
+BASELINES = {
+    "fig4": (fig4, "Figure 4 — ablation (s)"),
+    "sched": (sched_ablation,
+              "Scheduler ablation — queue wait by size class (s)"),
+    "llm": (llm_ablation,
+            "LLM serving ablation — continuous vs request-level batching"),
+    "shard": (shard_ablation, "Shard ablation — events/sec vs shard count"),
+}
+
+
 def _print_rows(title: str, rows) -> None:
-    print(render_table(title, rows))
+    # nested maps (the LLM rows' attribution) stay in the JSON only
+    columns = [c for c, v in rows[0].items() if not isinstance(v, dict)] \
+        if rows else None
+    print(render_table(title, rows, columns=columns))
     print()
 
 
-def run_one(name: str, seed: int, copies: int, trace_dir: str = None) -> None:
+def run_baseline(name: str, seed: int, copies: int, trace_dir: str = None,
+                 out: Path = None) -> None:
+    """Print the experiment's sections; with ``out``, write the baseline."""
+    module, title = BASELINES[name]
+    extra = {"trace_dir": trace_dir} if name == "fig4" else {}
+    t0 = time.perf_counter()
+    sections = module.sections(seed=seed, copies=copies, **extra)
+    wall_s = time.perf_counter() - t0
+    for section, rows in sections.items():
+        _print_rows(f"{title} [{section}]", rows)
+    if trace_dir and name == "fig4":
+        print(f"[trace + critpath artifacts in {trace_dir}]\n", file=sys.stderr)
+    if out is None:
+        return
+    doc = {
+        "experiment": module.EXPERIMENT,
+        "seed": seed,
+        "copies": copies,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count() or 1,
+        "wall_seconds": round(wall_s, 2),
+        "gates": module.GATES,
+        **sections,
+    }
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"[wrote {out}]", file=sys.stderr)
+
+
+def run_one(name: str, seed: int, copies: int, trace_dir: str = None,
+            out: Path = None) -> None:
     t0 = time.time()
-    if name == "table2":
+    if name in BASELINES:
+        run_baseline(name, seed, copies, trace_dir=trace_dir, out=out)
+    elif name == "table2":
         _print_rows("Table II — workload runtimes (s)", table2.run())
     elif name == "fig3":
         _print_rows("Figure 3 — phase breakdown (s)", fig3.run(seed=seed))
-    elif name == "fig4":
-        _print_rows("Figure 4 — ablation (s)",
-                     fig4.run(seed=seed, trace_dir=trace_dir))
-        if trace_dir:
-            print(f"[trace + critpath artifacts in {trace_dir}]\n",
-                  file=sys.stderr)
     elif name == "table3":
         _print_rows("Table III — heavy load (s)", table3.run(seed=seed, copies=copies))
     elif name == "fig5":
@@ -70,28 +122,10 @@ def run_one(name: str, seed: int, copies: int, trace_dir: str = None) -> None:
         _print_rows("Figure 8 — migration case study (s)", out["summary"])
     elif name == "table5":
         _print_rows("Table V — migration microbenchmark (s)", table5.run())
-    elif name == "sched":
-        _print_rows(
-            "Scheduler ablation — queue wait by size class (s)",
-            sched_ablation.run(seed=seed, copies=copies),
-        )
     elif name == "critpath":
         _print_rows(
             "Critical-path ablation — dominant resource by setting",
             critpath_ablation.run(seed=seed, copies=min(copies, 3)),
-        )
-    elif name == "llm":
-        _print_rows(
-            "LLM serving ablation — continuous vs request-level batching",
-            llm_ablation.run(seed=seed, copies=min(copies, 3)),
-        )
-    elif name == "shard":
-        # copies scales the per-run invocation budget (default 10 -> 1M);
-        # the full million-invocation ladder is the point of the ablation,
-        # but --copies 1 gives a 100k-invocation quick look.
-        _print_rows(
-            "Shard ablation — events/sec vs shard count",
-            shard_ablation.run(seed=seed, invocations=copies * 100_000),
         )
     else:
         raise SystemExit(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
@@ -106,15 +140,21 @@ def main(argv=None) -> None:
     parser.add_argument("experiment", choices=EXPERIMENTS + ["all"])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--copies", type=int, default=10,
-                        help="instances per workload (bursts for fig7)")
+                        help="instances per workload (bursts for fig7, "
+                             "100k scaleout invocations for shard)")
     parser.add_argument("--trace-dir", default=None,
                         help="export Chrome trace + critical-path/phase JSON "
                              "artifacts here (fig4 only)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="write the committed-baseline JSON here "
+                             f"({', '.join(BASELINES)} only)")
     args = parser.parse_args(argv)
+    if args.out is not None and args.experiment not in BASELINES:
+        parser.error(f"--out applies to {', '.join(BASELINES)} only")
     names = EXPERIMENTS if args.experiment == "all" else [args.experiment]
     for name in names:
         run_one(name, seed=args.seed, copies=args.copies,
-                trace_dir=args.trace_dir)
+                trace_dir=args.trace_dir, out=args.out)
 
 
 if __name__ == "__main__":

@@ -26,11 +26,18 @@ from typing import Optional
 
 from repro.core.config import DgsfConfig, OptimizationFlags
 from repro.core.deployment import DgsfDeployment
-from repro.experiments.runner import build_deployment
+from repro.experiments.runner import build_deployment, run_single_invocation
 from repro.obs import aggregate_critpaths, invocation_critpaths
 from repro.workloads import WORKLOADS, register_workloads
 
-__all__ = ["run", "ABLATION_STEPS"]
+__all__ = ["run", "warm_cache_rows", "sections", "ABLATION_STEPS",
+           "EXPERIMENT", "GATES"]
+
+#: ``BENCH_ablation.json``: experiment id and per-section gates (every
+#: numeric field but the key is banded by ``scripts/bench_compare.py``)
+EXPERIMENT = "fig4_ablation_plus_async_cache"
+GATES = {section: {"key": ["workload"], "exact": [], "ignore": []}
+         for section in ("ablation", "warm_cache")}
 
 ABLATION_STEPS: list[tuple[str, OptimizationFlags]] = [
     ("no_opt", OptimizationFlags.none()),
@@ -110,3 +117,36 @@ def run(workloads: Optional[list[str]] = None, seed: int = 0,
                 _dump_trace(dep, inv, trace_dir, f"{name}_{label.lstrip('+')}")
         rows.append(row)
     return rows
+
+
+def warm_cache_rows(workloads: list[str], seed: int) -> list[dict]:
+    """Cold vs warm download/e2e per workload (artifact-cache repeat)."""
+    rows = []
+    for name in workloads:
+        cold = run_single_invocation(name, "dgsf", DgsfConfig(num_gpus=1, seed=seed))
+        warm = run_single_invocation(
+            name, "dgsf_warm", DgsfConfig(num_gpus=1, seed=seed)
+        )
+        rows.append(
+            {
+                "workload": name,
+                "cold_download": round(cold.phases.get("download", 0.0), 3),
+                "warm_download": round(warm.phases.get("download", 0.0), 3),
+                "cold_e2e": round(cold.e2e_s, 3),
+                "warm_e2e": round(warm.e2e_s, 3),
+            }
+        )
+    return rows
+
+
+def sections(seed: int = 0, copies: int = 0,
+             trace_dir: Optional[str] = None) -> dict[str, list[dict]]:
+    """``BENCH_ablation.json``'s sections over every workload.
+
+    ``copies`` is unused: each row is one uncontended invocation.
+    """
+    workloads = sorted(WORKLOADS)
+    return {
+        "ablation": run(workloads=workloads, seed=seed, trace_dir=trace_dir),
+        "warm_cache": warm_cache_rows(workloads, seed=seed),
+    }

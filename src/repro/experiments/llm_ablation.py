@@ -26,12 +26,25 @@ from __future__ import annotations
 
 from repro.core.config import DgsfConfig
 from repro.core.deployment import DgsfDeployment
+from repro.errors import SimulationError
 from repro.faas.workload_gen import burst_arrivals
 from repro.obs.diff import attribution_from_tracer
 from repro.obs.metrics import percentile
 from repro.workloads.llm_workloads import register_llm_workloads
 
-__all__ = ["run", "run_llm_scenario", "SCENARIOS"]
+__all__ = ["run", "run_llm_scenario", "sections", "SCENARIOS",
+           "EXPERIMENT", "GATES"]
+
+#: ``BENCH_llm.json``: experiment id and its gates — the engine counters
+#: and the migration count are exact, latency percentiles banded, and
+#: nothing throughput-shaped is recorded
+EXPERIMENT = "llm_bench"
+GATES = {"rows": {
+    "key": ["scenario", "mode"],
+    "exact": ["n_requests", "n_tokens", "n_iterations", "n_preemptions",
+              "n_kv_denials", "n_recomputes", "n_migrations"],
+    "ignore": [],
+}}
 
 #: scenario -> (workload, deployment shape)
 SCENARIOS = {
@@ -132,3 +145,23 @@ def run(seed: int = 0, copies: int = 2,
             records, dep = run_llm_scenario(workload, mode, seed=seed, **kwargs)
             rows.append(_row(scenario, mode, records, dep))
     return rows
+
+
+def sections(seed: int = 0, copies: int = 2) -> dict[str, list[dict]]:
+    """``BENCH_llm.json``'s one section.
+
+    Raises :class:`SimulationError` unless the ablation's headline claim
+    holds — continuous batching beats request-level batching on
+    steady-chat p99 token latency — so a baseline can never record a
+    world where it stopped holding.
+    """
+    rows = run(seed=seed, copies=copies)
+    p99 = {row["mode"]: row["p99_token_ms"]
+           for row in rows if row["scenario"] == "steady"}
+    if p99["continuous"] >= p99["request"]:
+        raise SimulationError(
+            f"continuous p99 token latency ({p99['continuous']} ms) does not "
+            f"beat request-level ({p99['request']} ms) on the steady chat "
+            f"scenario"
+        )
+    return {"rows": rows}

@@ -6,8 +6,13 @@ reports the queue-wait distribution per request *size class* (small
 < 2 GB ≤ medium < 8 GB ≤ large, tracking the paper's workload set).
 This quantifies the §VIII-D trade-off directly: FCFS's head-of-line
 blocking inflates the small class's tail, plain SFF starves the large
-class, ``sff_aged`` bounds that starvation, and ``mqfq`` bounds the
-unfairness per function class.
+class, and ``mqfq`` bounds the unfairness per function class.
+
+``sff_aged`` is meant to bound SFF's starvation, but no registered
+function carries a duration hint (``expected_duration_s``), so every
+request's starvation bound is zero and aged SFF degrades to exact FCFS:
+its rows in ``BENCH_sched.json`` equal the ``fcfs`` rows.  ROADMAP item 5
+plans hints derived from the calibrated workload params.
 """
 
 from __future__ import annotations
@@ -17,7 +22,13 @@ from repro.core.scheduler import DISCIPLINES
 from repro.experiments.runner import make_plan, run_mixed_scenario
 from repro.obs.metrics import percentile
 
-__all__ = ["run"]
+__all__ = ["run", "sections", "EXPERIMENT", "GATES"]
+
+#: ``BENCH_sched.json``: experiment id and its gates (sample counts exact,
+#: every other numeric field banded by ``scripts/bench_compare.py``)
+EXPERIMENT = "sched_ablation"
+GATES = {"rows": {"key": ["discipline", "size_class"], "exact": ["n"],
+                  "ignore": []}}
 
 _CLASSES = ("small", "medium", "large")
 
@@ -66,3 +77,8 @@ def run(seed: int = 0, copies: int = 4, num_gpus: int = 2,
                 "provider_e2e_s": round(result.stats.provider_e2e_s, 2),
             })
     return rows
+
+
+def sections(seed: int = 0, copies: int = 4) -> dict[str, list[dict]]:
+    """``BENCH_sched.json``'s one section."""
+    return {"rows": run(seed=seed, copies=copies)}

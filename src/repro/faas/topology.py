@@ -5,9 +5,10 @@ spawns workers, steps epochs, and merges rows.  This module supplies the
 scenarios, each a module-level function so ``multiprocessing`` spawn can
 pickle it by reference:
 
-* :func:`pool_scenario` — the independent-GPU-pool queueing model used by
-  ``scripts/bench_shard.py``: per group, a pre-drawn Poisson arrival
-  stream feeds an M/M/c GPU pool (a few kernel events per invocation), so
+* :func:`pool_scenario` — the independent-GPU-pool queueing model of the
+  shard ablation (:mod:`repro.experiments.shard_ablation`): per group, a
+  pre-drawn Poisson arrival stream feeds an M/M/c GPU pool (a few kernel
+  events per invocation), so
   a million-invocation deployment is dominated by event-queue throughput
   — exactly what sharding is meant to scale.  An optional heartbeat
   stream to group 0 (the manager's home) exercises the cross-shard
@@ -16,7 +17,7 @@ pickle it by reference:
   :class:`~repro.core.deployment.DgsfDeployment` per group sharing the
   shard's environment, brought up concurrently from t=0 and driven by
   per-group arrival plans that start at a fixed absolute time.  Used by
-  the shard-count-invariance tests and the ``shard`` ablation.
+  the shard-count-invariance tests and ``scripts/shard_report.py``.
 
 Invariance rules every scenario here obeys (and new ones must):
 

@@ -31,7 +31,8 @@ With no cross-group channels the lookahead is infinite (the minimum over
 an empty link set), the run degenerates to one barrier, and shards are
 embarrassingly parallel — the independent-GPU-pool case.
 
-**Correctness bar** (enforced by tests and ``scripts/bench_shard.py``):
+**Correctness bar** (enforced by tests and the shard ablation,
+:mod:`repro.experiments.shard_ablation`):
 with ``shards=1`` the epoch loop processes the exact event sequence of a
 plain single-process ``env.run()`` (the CRC pop-order digest is
 bit-identical — ``run(until=T)`` only sets deadlines, it never schedules

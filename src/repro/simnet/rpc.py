@@ -4,9 +4,9 @@ This is the transport the guest library uses to remote CUDA API calls to
 an API server.  It supports:
 
 * synchronous calls (``yield from client.call(...)``) — one round trip,
-* one-way calls (no reply awaited) — used for enqueue-only APIs,
-* batch calls — several requests in a single message, amortizing the
-  per-message latency (the "batching" optimization of §V-C),
+* one-way batches (:meth:`RpcClient.send_batch`) — several enqueue-only
+  calls in a single message with no reply, amortizing the per-message
+  latency (the "batching" optimization of §V-C),
 * pipelined calls (:meth:`RpcClient.call_async`) — multiple requests in
   flight on one connection, each returning a :class:`PendingReply` that
   is harvested later.  The connection is FIFO in both directions and the
@@ -244,41 +244,23 @@ class RpcClient:
         )
         return (yield from pending.wait(timeout_s=timeout_s))
 
-    def call_oneway(self, method: str, *args: Any, extra_bytes: int = 0, **kwargs: Any) -> None:
-        """Fire-and-forget request (no reply; still costs one message)."""
-        request = RpcRequest(
-            msg_id=next(self._ids),
-            method=method,
-            args=args,
-            kwargs=kwargs,
-            extra_bytes=extra_bytes,
-            oneway=True,
-        )
-        if self.trace_ctx is not None:
-            request._trace = self.trace_ctx
-        self.calls_sent += 1
-        self.messages_sent += 1
-        self.endpoint.send(request, extra_bytes=extra_bytes)
+    def send_batch(self, calls: list[tuple]) -> None:
+        """Send several calls in one one-way message (no reply).
 
-    def call_batch(self, calls: list[tuple], oneway: bool = False) -> Generator:
-        """Send several calls in one message.
-
-        ``calls`` is a list of ``(method, args, extra_bytes)`` tuples.  With
-        ``oneway`` the batch is fire-and-forget (used for enqueue-only API
-        streams); otherwise returns the list of per-call results.
+        ``calls`` is a non-empty list of ``(method, args, extra_bytes)``
+        tuples — the guest's enqueue-only API stream.  Ordering against
+        later calls is guaranteed by the FIFO connection and the server's
+        sequential dispatch.
         """
-        if not calls:
-            return [] if not oneway else None
         subs = [
             RpcRequest(msg_id=0, method=m, args=tuple(a), extra_bytes=x)
             for (m, a, x) in calls
         ]
-        msg_id = next(self._ids)
         batch = RpcRequest(
-            msg_id=msg_id,
+            msg_id=next(self._ids),
             method="__batch__",
             batch=subs,
-            oneway=oneway,
+            oneway=True,
             extra_bytes=sum(s.extra_bytes for s in subs),
         )
         if self.trace_ctx is not None:
@@ -286,14 +268,6 @@ class RpcClient:
         self.calls_sent += len(subs)
         self.messages_sent += 1
         self.endpoint.send(batch, extra_bytes=batch.extra_bytes)
-        if oneway:
-            return None
-        reply = yield self.endpoint.recv(
-            lambda m: isinstance(m, RpcReply) and m.msg_id == msg_id
-        )
-        if reply.error is not None:
-            raise RpcError(f"remote batch failed: {reply.error}")
-        return reply.value
 
 
 class RpcServer:

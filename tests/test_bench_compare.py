@@ -21,6 +21,8 @@ def sched_doc(**overrides):
         "copies": 4,
         "python": "3.12.0",
         "wall_seconds": 10.0,
+        "gates": {"rows": {"key": ["discipline", "size_class"],
+                           "exact": ["n"], "ignore": []}},
         "rows": [
             {"discipline": "fcfs", "size_class": "small", "n": 8,
              "mean_queue_s": 10.0, "p99_queue_s": 40.0},
@@ -78,9 +80,16 @@ def test_compat_mismatch_is_not_comparable(tmp_path, capsys):
     assert "NOT COMPARABLE" in capsys.readouterr().err
 
 
-def test_unknown_experiment_is_not_comparable(tmp_path):
+def test_unknown_experiment_is_not_comparable(tmp_path, capsys):
+    """The gate knows an experiment only by the gates its baseline
+    declares; a baseline without them cannot be compared."""
+    undeclared = sched_doc(experiment="mystery")
+    del undeclared["gates"]
+    assert run(tmp_path, undeclared, undeclared) == 2
+    assert "declares no gates" in capsys.readouterr().err
+    # any experiment id is fine once the baseline declares its gates
     assert run(tmp_path, sched_doc(experiment="mystery"),
-               sched_doc(experiment="mystery")) == 2
+               sched_doc(experiment="mystery")) == 0
 
 
 def test_environment_keys_are_ignored(tmp_path):
@@ -88,18 +97,14 @@ def test_environment_keys_are_ignored(tmp_path):
     assert run(tmp_path, sched_doc(), fresh) == 0
 
 
-def test_subset_fresh_run_passes_by_default(tmp_path, capsys):
-    fresh = sched_doc()
-    fresh["rows"] = fresh["rows"][:1]  # CI covers fewer rows than baseline
-    assert run(tmp_path, sched_doc(), fresh) == 0
-    assert "OK: 1 row(s)" in capsys.readouterr().out
-
-
-def test_require_full_rejects_subset(tmp_path, capsys):
+def test_missing_row_fails(tmp_path, capsys):
+    """A fresh run that lost a baseline row is a regression, not a subset
+    to wave through."""
     fresh = sched_doc()
     fresh["rows"] = fresh["rows"][:1]
-    assert run(tmp_path, sched_doc(), fresh, "--require-full") == 1
-    assert "missing from fresh run" in capsys.readouterr().err
+    assert run(tmp_path, sched_doc(), fresh) == 1
+    assert "rows[fcfs/large]: row missing from fresh run" \
+        in capsys.readouterr().err
 
 
 def test_fresh_only_row_fails(tmp_path, capsys):
@@ -125,6 +130,8 @@ def test_ablation_sections_both_compared(tmp_path, capsys):
     doc = {
         "experiment": "fig4_ablation_plus_async_cache",
         "seed": 0,
+        "gates": {section: {"key": ["workload"], "exact": [], "ignore": []}
+                  for section in ("ablation", "warm_cache")},
         "ablation": [{"workload": "kmeans", "native": 5.0, "no_opt": 20.0}],
         "warm_cache": [{"workload": "kmeans", "cold_e2e": 11.0, "warm_e2e": 9.0}],
     }
@@ -142,6 +149,16 @@ def kernel_doc(**overrides):
         "events": 1000,
         "python": "3.11.7",
         "wall_seconds": 5.0,
+        "gates": {
+            "scenarios": {"key": ["scenario", "impl"], "exact": ["n_events"],
+                          "ignore": ["sched_wall_s", "wall_s",
+                                     "events_per_sec"]},
+            "speedups": {"key": ["scenario"], "exact": [],
+                         "ignore": ["speedup"]},
+            "order": {"key": ["scenario"],
+                      "exact": ["n_events", "order_n", "order_crc"],
+                      "ignore": []},
+        },
         "scenarios": [
             {"scenario": "timer_flood", "impl": "wheel", "n_events": 1000,
              "final_now": 39.9, "timeouts_recycled": 0,
@@ -208,11 +225,25 @@ def test_unknown_section_name_is_not_comparable(tmp_path, capsys):
 
 
 def shard_doc(**overrides):
+    exact = ["groups", "invocations", "n_events", "n_epochs", "n_envelopes",
+             "merged_crc"]
+    throughput = ["wall_s", "events_per_sec", "scaleout"]
     doc = {
         "experiment": "shard_bench",
         "seed": 7,
         "profile": "full",
         "cpu_count": 4,
+        "gates": {
+            "scaleout": {"key": ["scenario", "shards"], "exact": exact,
+                         "ignore": throughput},
+            "smoke": {"key": ["scenario", "shards"],
+                      "exact": exact + ["pop_crc"], "ignore": throughput},
+            "tracing": {"key": ["scenario", "shards"],
+                        "exact": ["groups", "invocations", "n_events",
+                                  "merged_crc", "trace_digest", "n_spans",
+                                  "n_envelopes"],
+                        "ignore": ["events_per_sec_ratio"]},
+        },
         "scaleout": [
             {"scenario": "pool", "shards": 1, "groups": 8,
              "invocations": 1_000_000, "n_events": 5_000_016,
@@ -276,9 +307,30 @@ def test_real_committed_baselines_self_compare(tmp_path):
     """The committed baselines must be valid inputs to their own gate."""
     root = Path(__file__).resolve().parent.parent
     for name in ("BENCH_sched.json", "BENCH_ablation.json",
-                 "BENCH_kernel.json", "BENCH_shard.json"):
+                 "BENCH_kernel.json", "BENCH_shard.json", "BENCH_llm.json"):
         path = root / name
         assert bench_compare.main([str(path), str(path)]) == 0
+
+
+def test_committed_gates_match_their_producers():
+    """Each committed file's declaration is the one its producer writes,
+    so a regenerated baseline keeps the same gates."""
+    from repro.experiments import (fig4, llm_ablation, sched_ablation,
+                                   shard_ablation)
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "bench_kernel", root / "scripts" / "bench_kernel.py")
+    bench_kernel = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_kernel)
+    producers = {"BENCH_ablation.json": fig4, "BENCH_sched.json": sched_ablation,
+                 "BENCH_llm.json": llm_ablation, "BENCH_shard.json": shard_ablation,
+                 "BENCH_kernel.json": bench_kernel}
+    for name, producer in producers.items():
+        doc = json.loads((root / name).read_text())
+        assert doc["gates"] == producer.GATES, name
+        if hasattr(producer, "EXPERIMENT"):
+            assert doc["experiment"] == producer.EXPERIMENT, name
 
 
 # --- shard_bench tracing section ---------------------------------------------
@@ -300,6 +352,16 @@ def test_tracing_overhead_ratio_is_never_banded(tmp_path):
     # 10x slower tracing is a machine property, not a regression
     fresh["tracing"][0]["events_per_sec_ratio"] = 0.05
     assert run(tmp_path, shard_doc(), fresh, "--sections", "tracing") == 0
+
+
+def test_empty_named_section_fails(tmp_path, capsys):
+    """An empty section named by --sections is every one of its baseline
+    rows gone missing."""
+    fresh = shard_doc(profile="smoke", scaleout=[], tracing=[])
+    assert run(tmp_path, shard_doc(), fresh,
+               "--sections", "smoke,tracing") == 1
+    assert "tracing[pool/2]: row missing from fresh run" \
+        in capsys.readouterr().err
 
 
 def test_smoke_and_tracing_sections_compare_together(tmp_path, capsys):

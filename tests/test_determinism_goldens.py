@@ -10,6 +10,13 @@ If a change is *supposed* to alter the timeline (a cost-model change, a
 new mandatory phase), re-capture the constants and say so in the commit.
 """
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from repro.core.config import DgsfConfig
 from repro.experiments.runner import run_mixed_scenario, run_single_invocation
 from repro.faas.workload_gen import exponential_gap_arrivals
@@ -55,6 +62,15 @@ STRATEGY_DURATIONS = {
     "dgsf": 0.3592552235333333,
     "checkpoint_restore": 0.7120517342094859,
     "peer_access": 0.03500000000000014,
+}
+#: ``bench/run.py --seed 3 --seconds 1 --trace 0`` per workload: the
+#: full-stack ``sim_digest`` (CRC32 of the ordered invocation outcomes
+#: plus LLM emission CRCs), guest through simcuda
+BENCH_SIM_DIGESTS = {
+    "faas_steady": 2977596311,
+    "faas_burst": 3318762856,
+    "llm_chat": 2815395046,
+    "calibration": 3452254978,
 }
 
 
@@ -170,3 +186,18 @@ def test_every_migration_strategy_duration_is_bit_identical():
         world.drive(guest.cublasCreate())
         outcome = world.drive(strategy(server, 1))
         assert outcome.duration_s == STRATEGY_DURATIONS[name], name
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_SIM_DIGESTS))
+def test_full_stack_bench_sim_digest_is_bit_identical(workload, tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
+         "--seed", "3", "--seconds", "1", "--trace", "0",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    result = json.loads((tmp_path / workload / "result.json").read_text())
+    assert result["sim_digest"] == BENCH_SIM_DIGESTS[workload]
+    assert json.loads(done.stdout.splitlines()[-1])["failed"] == 0

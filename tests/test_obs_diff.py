@@ -206,6 +206,8 @@ def llm_doc(p99=120.0, queue=0.030):
         "experiment": "llm_bench",
         "seed": 5,
         "copies": 2,
+        "gates": {"rows": {"key": ["scenario", "mode"],
+                           "exact": ["n_requests"], "ignore": []}},
         "rows": [{
             "scenario": "steady", "mode": "continuous",
             "n_requests": 40, "p99_token_ms": p99,

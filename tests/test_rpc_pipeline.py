@@ -194,11 +194,7 @@ def test_oneway_batch_bytes_pinned():
     calls = [("launch", (1, 2), 1000), ("launch", (3, 4), 500), ("sync", (), 0)]
 
     def caller(env):
-        gen = client.call_batch(calls, oneway=True)
-        try:
-            next(gen)
-        except (StopIteration, TypeError):
-            pass
+        client.send_batch(calls)
         yield env.timeout(1.0)
 
     p = env.process(caller(env))
@@ -217,7 +213,7 @@ def test_oneway_batch_bytes_pinned():
     assert conn.a.bytes_out == MESSAGE_HEADER_BYTES + envelope + subs + extra
 
 
-def test_oneway_batch_cheaper_than_individual_oneways():
+def test_oneway_batch_cheaper_than_individual_calls():
     def handler(req):
         if False:
             yield
@@ -228,11 +224,7 @@ def test_oneway_batch_cheaper_than_individual_oneways():
     env1, conn1, client1, _ = make_rpc(handler)
 
     def batched(env):
-        gen = client1.call_batch(calls, oneway=True)
-        try:
-            next(gen)
-        except (StopIteration, TypeError):
-            pass
+        client1.send_batch(calls)
         yield env.timeout(1.0)
 
     p = env1.process(batched(env1))
@@ -242,8 +234,7 @@ def test_oneway_batch_cheaper_than_individual_oneways():
 
     def individual(env):
         for (m, a, x) in calls:
-            client2.call_oneway(m, *a, extra_bytes=x)
-        yield env.timeout(1.0)
+            yield from client2.call(m, *a, extra_bytes=x)
 
     p = env2.process(individual(env2))
     env2.run(until=p)

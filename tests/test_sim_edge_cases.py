@@ -113,7 +113,8 @@ def test_nested_process_failure_propagates_to_parent():
 # --- network edges -------------------------------------------------------------------
 
 def test_rpc_oneway_handler_error_is_swallowed():
-    """A failing one-way call must not kill the server loop."""
+    """A failing one-way batch sends no reply and must not kill the server
+    loop."""
     env = Environment()
     net = Network(env)
     conn = net.connect(net.add_host("a"), net.add_host("b"))
@@ -130,7 +131,7 @@ def test_rpc_oneway_handler_error_is_swallowed():
     server.start()
 
     def caller(env):
-        client.call_oneway("bad")
+        client.send_batch([("bad", (), 0)])
         result = yield from client.call("good")
         return result
 
@@ -138,6 +139,8 @@ def test_rpc_oneway_handler_error_is_swallowed():
     env.run(until=p)
     assert p.value == "fine"
     assert server.requests_handled == 2
+    # only the sync call was answered
+    assert conn.b.messages_sent == 1
 
 
 def test_zero_byte_send_costs_only_header_and_latency():

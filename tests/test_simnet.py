@@ -305,7 +305,7 @@ def test_rpc_oneway_does_not_wait():
     env, client, _ = make_rpc(handler)
 
     def caller(env):
-        client.call_oneway("enqueue", 1)
+        client.send_batch([("enqueue", (1,), 0)])
         done_at = env.now  # returns immediately
         yield env.timeout(1.0)
         return done_at
@@ -317,41 +317,27 @@ def test_rpc_oneway_does_not_wait():
 
 
 def test_rpc_batch_amortizes_messages():
+    handled = []
+
     def handler(req):
         if False:
             yield
-        return req.method
+        handled.append(req.method)
+        return None
 
     env, client, server = make_rpc(handler)
 
     def caller(env):
-        results = yield from client.call_batch(
-            [("a", (), 0), ("b", (), 0), ("c", (), 0)]
-        )
-        return results
+        client.send_batch([("a", (), 0), ("b", (), 0), ("c", (), 0)])
+        yield env.timeout(1.0)
 
     p = env.process(caller(env))
     env.run(until=p)
-    assert p.value == ["a", "b", "c"]
+    # one message, dispatched call by call in order
+    assert handled == ["a", "b", "c"]
     assert client.calls_sent == 3
     assert client.messages_sent == 1
-
-
-def test_rpc_empty_batch_is_noop():
-    def handler(req):
-        if False:
-            yield
-        return None
-
-    env, client, _ = make_rpc(handler)
-
-    def caller(env):
-        result = yield from client.call_batch([])
-        return result
-
-    p = env.process(caller(env))
-    env.run(until=p)
-    assert p.value == []
+    assert server.requests_handled == 1
 
 
 def test_rpc_concurrent_calls_match_replies():
@@ -537,7 +523,7 @@ def test_rpc_server_stop():
     def caller(env):
         yield from client.call("x")
         server.stop()
-        client.call_oneway("y")  # will be ignored after stop drains
+        client.send_batch([("y", (), 0)])  # ignored after stop drains
         yield env.timeout(1.0)
 
     p = env.process(caller(env))
