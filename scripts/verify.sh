@@ -21,10 +21,13 @@ else
     PYTHONPATH=src python -m pytest -x -q "$@"
 fi
 
-echo "== paper benchmarks on the pooling, migration and recovery paths =="
-# Fig. 4 (handle-pooling ablation), Fig. 8 (migration case study),
-# Table V, the Table I migration strategies and crash recovery.
+echo "== paper benchmarks on the native, pooling, migration and recovery paths =="
+# Table II and Fig. 3 (every workload's native runtime within 25% of the
+# paper, and its native phase split), Fig. 4 (handle-pooling ablation),
+# Fig. 8 (migration case study), Table V, the Table I migration
+# strategies and crash recovery.
 PYTHONPATH=src python -m pytest -q --benchmark-disable \
+    benchmarks/test_table2.py benchmarks/test_fig3.py \
     benchmarks/test_fig4.py benchmarks/test_fig8.py benchmarks/test_table5.py \
     benchmarks/test_ablation_migration.py \
     benchmarks/test_ablation_migration_strategies.py \

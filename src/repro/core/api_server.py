@@ -28,8 +28,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-import numpy as np
-
 from repro.core.decode import DecodeEngine
 from repro.errors import ReproError, SimulationError
 from repro.sim.core import Environment
@@ -340,33 +338,19 @@ class ApiServer:
 
     def handle(self, request: RpcRequest) -> Generator:
         """Dispatch one remoted API call (the RpcServer handler)."""
-        t0 = self.env.now
-        status = "error"
-        try:
-            with self.exec_lock.request() as lock:
-                yield lock
-                self.requests_handled += 1
-                if self.session is not None:
-                    self.session.api_calls += 1
-                yield self.env.timeout(self.costs.api_call_server_s)
-                self._maybe_crash(1)
-                method = getattr(self, "_rpc_" + request.method, None)
-                if method is None:
-                    raise CudaError(
-                        cudaError.cudaErrorNotSupported, f"unknown API {request.method!r}"
-                    )
-                result = yield from method(*request.args, **request.kwargs)
-                status = "ok"
-                return result
-        finally:
-            if self.tracer is not None:
-                self._trace_server_span(f"srv:{request.method}", t0, request, status)
+        [result] = yield from self._execute([request], f"srv:{request.method}")
+        return result
 
     def handle_batch(self, requests: list) -> Generator:
-        """Execute a shipped batch under one exec-lock acquisition.
+        """Execute a shipped batch (the RpcServer batch handler)."""
+        return (yield from self._execute(requests, "srv:__batch__"))
+
+    def _execute(self, requests: list, span_name: str) -> Generator:
+        """Run ``requests`` in order under one exec-lock acquisition.
 
         Per-call unmarshal/dispatch cost is charged as a single aggregate
         timeout; migration still only happens at (batch) boundaries.
+        Returns the calls' results.
         """
         t0 = self.env.now
         status = "error"
@@ -392,7 +376,7 @@ class ApiServer:
         finally:
             if self.tracer is not None and requests:
                 self._trace_server_span(
-                    "srv:__batch__", t0, requests[0], status, calls=len(requests)
+                    span_name, t0, requests[0], status, calls=len(requests)
                 )
 
     # Each _rpc_* method below implements one remoted API.
@@ -433,16 +417,7 @@ class ApiServer:
             )
         if False:
             yield
-        props = self.device.properties
-        # Return a plain dict: the real system marshals a struct, and the
-        # guest must not receive live server objects.
-        return {
-            "name": props.name,
-            "total_global_mem": props.total_global_mem,
-            "multiprocessor_count": props.multiprocessor_count,
-            "clock_rate_khz": props.clock_rate_khz,
-            "compute_capability": props.compute_capability,
-        }
+        return self.device.properties.as_dict()
 
     def _rpc_pushCallConfiguration(self, *args) -> Generator:
         """Host-side no-op some unoptimized guests still forward."""
@@ -466,15 +441,7 @@ class ApiServer:
                 f"function exceeded its declared GPU memory "
                 f"({session.used_bytes + size} > {session.declared_bytes})",
             )
-        driver = self.gpu_server.driver
-        ctx = self.memory_context
-        alloc = yield from driver.cuMemCreate(self.memory_device_id, size)
-        va = driver.cuMemAddressReserve(ctx, size)
-        driver.cuMemMap(ctx, va, alloc)
-        session.allocations[va] = size
-        session.used_bytes += size
-        session.peak_bytes = max(session.peak_bytes, session.used_bytes)
-        return va
+        return (yield from self._alloc_va(size))
 
     def _rpc_cudaFree(self, va: int) -> Generator:
         yield from self._free_va(va)
@@ -491,12 +458,13 @@ class ApiServer:
         yield from driver.cuMemRelease(alloc)
         session.used_bytes -= session.allocations.pop(va)
 
-    def _llm_alloc(self, size: int) -> Generator:
-        """Allocate a KV-cache page — same driver path as ``cudaMalloc``
-        but exempt from the function's *declared* limit: cache growth is
-        runtime-managed, admission-controlled through the monitor's
-        charge ledger (``charge_extra``) instead of the static
-        declaration."""
+    def _alloc_va(self, size: int) -> Generator:
+        """Create, reserve and map ``size`` bytes in the memory context.
+
+        ``cudaMalloc`` checks the function's declared limit first; KV-cache
+        pages skip that check: cache growth is runtime-managed,
+        admission-controlled through the monitor's charge ledger
+        (``charge_extra``) instead of the static declaration."""
         session = self._session()
         driver = self.gpu_server.driver
         ctx = self.memory_context
@@ -508,67 +476,28 @@ class ApiServer:
         session.peak_bytes = max(session.peak_bytes, session.used_bytes)
         return va
 
-    # --- copies ---
+    # --- copies: the memory context moves the bytes, ordered on the
+    # compute context's stream (they differ after a peer-access move) ---
     def _rpc_memcpyH2D(self, dst: int, size: int, payload=None, sync: bool = True,
                        stream: int = 0) -> Generator:
-        ctx = self.memory_context
-        dst_ptr = int(dst)
-
-        def start():
-            if payload is not None:
-                mapping, offset = ctx.address_space.translate(dst_ptr)
-                mapping.allocation.write(offset, np.asarray(payload))
-            return ctx.device.copy_h2d(size)
-
-        done = self._stream(stream).enqueue(start, name="h2d")
+        done = self.memory_context.copy_h2d(self._stream(stream), dst, size, payload)
         if sync:
             yield done
         return None
 
     def _rpc_memcpyD2H(self, src: int, size: int, stream: int = 0) -> Generator:
-        ctx = self.memory_context
-        src_ptr = int(src)
-        result: dict = {}
-
-        def start():
-            mapping, offset = ctx.address_space.translate(src_ptr)
-            result["data"] = mapping.allocation.read(offset, size)
-            return ctx.device.copy_d2h(size)
-
-        done = self._stream(stream).enqueue(start, name="d2h")
-        yield done  # D2H must return data: always synchronous here
-        return result.get("data")
+        return (yield from self.memory_context.copy_d2h(self._stream(stream), src, size))
 
     def _rpc_memcpyD2D(self, dst: int, src: int, size: int, sync: bool = True,
                        stream: int = 0) -> Generator:
-        ctx = self.memory_context
-        d, s = int(dst), int(src)
-
-        def start():
-            smap, soff = ctx.address_space.translate(s)
-            dmap, doff = ctx.address_space.translate(d)
-            dmap.allocation.write(doff, smap.allocation.read(soff, size))
-            return ctx.device.copy_d2d(size)
-
-        done = self._stream(stream).enqueue(start, name="d2d")
+        done = self.memory_context.copy_d2d(self._stream(stream), dst, src, size)
         if sync:
             yield done
         return None
 
     def _rpc_cudaMemset(self, ptr: int, value: int, size: int, sync: bool = True,
                         stream: int = 0) -> Generator:
-        ctx = self.memory_context
-        dev_ptr = int(ptr)
-
-        def start():
-            mapping, offset = ctx.address_space.translate(dev_ptr)
-            window = mapping.allocation.read(offset, size)
-            mapping.allocation.write(
-                offset, np.full(len(window), value & 0xFF, np.uint8)
-            )
-            return ctx.device.memset(size)
-
-        done = self._stream(stream).enqueue(start, name="memset")
+        done = self.memory_context.memset(self._stream(stream), ptr, value, size)
         if sync:
             yield done
         return None
@@ -661,11 +590,7 @@ class ApiServer:
     def _rpc_cudaEventElapsedTime(self, start: int, end: int) -> Generator:
         if False:
             yield
-        try:
-            seconds = self._event(end).elapsed_since(self._event(start))
-        except RuntimeError as exc:
-            raise CudaError(cudaError.cudaErrorInvalidResourceHandle, str(exc))
-        return seconds * 1000.0
+        return self._event(end).elapsed_ms(self._event(start))
 
     def _rpc_cudaMemGetInfo(self) -> Generator:
         """Restricted like device properties: the function sees only its

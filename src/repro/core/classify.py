@@ -47,6 +47,8 @@ LOCALIZABLE: dict[str, str] = {
     "cudaFreeHost": "avoid_unnecessary",
     # guest tracks device allocations, so attributes are known locally
     "cudaPointerGetAttributes": "avoid_unnecessary",
+    # ... and its declared budget, once the first query has returned it
+    "cudaMemGetInfo": "avoid_unnecessary",
     # piggybacked onto the launch API
     "__cudaPushCallConfiguration": "avoid_unnecessary",
     # device count is fixed at 1 for the function's lifetime: cacheable

@@ -216,7 +216,7 @@ class DecodeEngine:
                     return False
                 monitor.charge_extra(self.server, self.page_bytes, force=True)
                 self.n_kv_forced += 1
-        va = yield from self.server._llm_alloc(self.page_bytes)
+        va = yield from self.server._alloc_va(self.page_bytes)
         seq.page_vas.append(va)
         self.kv_pages += 1
         self.kv_pages_peak = max(self.kv_pages_peak, self.kv_pages)

@@ -15,6 +15,7 @@ facade* (the method set of :class:`repro.core.guest.GuestLibrary`):
 
 from __future__ import annotations
 
+import itertools
 from typing import Generator, Optional
 
 import numpy as np
@@ -23,12 +24,13 @@ from repro.errors import ConfigurationError
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
+from repro.simcuda.context import CudaContext
 from repro.simcuda.costs import CostModel, DEFAULT_COSTS
 from repro.simcuda.device import SimGPU
+from repro.simcuda.errors import CudaError, cudaError
 from repro.simcuda.kernels import KernelRegistry, builtin_registry
 from repro.simcuda.libs import VendorLibrary
-from repro.simcuda.runtime import LocalCudaRuntime
-from repro.simcuda.types import Dim3, MemcpyKind
+from repro.simcuda.types import Dim3, PointerAttributes
 from repro.simnet.link import NetworkProfile
 from repro.simnet.net import Network
 from repro.simnet.rpc import RpcClient
@@ -56,204 +58,262 @@ __all__ = [
 # Native baseline
 # ======================================================================
 
-class NativeGpuSession:
-    """Adapter exposing the GPU session facade over a local runtime."""
+#: first pinned host pointer a native ``cudaMallocHost`` hands out
+_HOST_PTR_BASE = 0x5500_0000_0000
 
-    def __init__(self, env: Environment, runtime: LocalCudaRuntime):
+
+class NativeGpuSession:
+    """The GPU session facade executed directly on a locally attached GPU.
+
+    Every call pays the local API-call cost; the first one also creates
+    the CUDA context — its 303 MB footprint and the 3.2 s initialization
+    land on the critical path, as for any native process ("Native GPU
+    applications cannot pre-initialize their own runtime", §V-C).  The
+    session sees its one GPU as device 0.
+    """
+
+    def __init__(self, env: Environment, device: SimGPU,
+                 kernel_registry: Optional[KernelRegistry] = None,
+                 costs: CostModel = DEFAULT_COSTS):
         self.env = env
-        self.rt = runtime
+        self.device = device
+        self.kernels = kernel_registry or builtin_registry()
+        self.costs = costs
+        self._ctx: Optional[CudaContext] = None
         self._lib: Optional[VendorLibrary] = None
+        self._host_allocs: dict[int, int] = {}
+        self._host_ids = itertools.count(_HOST_PTR_BASE, 0x1_0000)
         # facade-level counters (parity with GuestLibrary)
         self.calls_intercepted = 0
         self.calls_forwarded = 0  # native: nothing crosses a network
 
-    def _ensure_libs(self) -> Generator:
+    def _context(self) -> Generator:
+        """Charge one local API call; the first also initializes CUDA."""
+        yield self.env.timeout(self.costs.api_call_local_s)
+        if self._ctx is None:
+            self.device.reserve_bytes(self.costs.cuda_context_bytes)
+            yield self.env.timeout(self.costs.cuda_init_s)
+            self._ctx = CudaContext(self.env, self.device, self.kernels)
+        return self._ctx
+
+    def _call(self) -> Generator:
+        """Intercept one CUDA runtime call; returns the context."""
+        self.calls_intercepted += 1
+        return (yield from self._context())
+
+    def _library(self) -> Generator:
+        """Intercept one cuDNN/cuBLAS call; the first builds the library
+        facade, which costs one more local call."""
+        self.calls_intercepted += 1
         if self._lib is None:
-            yield from self.rt.cudaGetDeviceCount()  # triggers lazy CUDA init
-            self._lib = VendorLibrary(self.env, self.rt.context, self.rt.costs)
+            ctx = yield from self._context()
+            self._lib = VendorLibrary(self.env, ctx, self.costs)
+        return self._lib
+
+    def close(self) -> None:
+        """Process exit: tear the context down and free its device memory."""
+        ctx, self._ctx = self._ctx, None
+        if ctx is None:
+            return
+        for mapping in list(ctx.address_space.mappings):
+            ctx.address_space.unmap(mapping.va)
+            self.device.free_phys(mapping.allocation)
+        if self.device.mem_used:
+            # the context footprint and library handles
+            self.device.unreserve_bytes(self.device.mem_used)
+        ctx.destroy()
+
+    @staticmethod
+    def _check_device(device: int) -> None:
+        if device != 0:
+            raise CudaError(cudaError.cudaErrorInvalidDevice, str(device))
 
     # --- device management ---
     def cudaGetDeviceCount(self) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaGetDeviceCount())
+        yield from self._call()
+        return 1
 
     def cudaGetDeviceProperties(self, device: int = 0) -> Generator:
-        self.calls_intercepted += 1
-        props = yield from self.rt.cudaGetDeviceProperties(device)
-        return {
-            "name": props.name,
-            "total_global_mem": props.total_global_mem,
-            "multiprocessor_count": props.multiprocessor_count,
-            "clock_rate_khz": props.clock_rate_khz,
-            "compute_capability": props.compute_capability,
-        }
+        yield from self._call()
+        self._check_device(device)
+        return self.device.properties.as_dict()
 
     def cudaSetDevice(self, device: int) -> Generator:
         self.calls_intercepted += 1
-        return (yield from self.rt.cudaSetDevice(device))
+        self._check_device(device)
+        yield self.env.timeout(self.costs.api_call_local_s)
 
     # --- memory ---
     def cudaMalloc(self, size: int) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaMalloc(size))
+        ctx = yield from self._call()
+        yield self.env.timeout(self.costs.malloc_time(size))
+        alloc = self.device.alloc_phys(size)
+        va = ctx.address_space.reserve(size)
+        ctx.address_space.map(va, alloc)
+        return va
 
     def cudaFree(self, ptr: int) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaFree(ptr))
+        ctx = yield from self._call()
+        yield self.env.timeout(self.costs.free_s)
+        alloc = ctx.address_space.unmap(ptr)
+        ctx.address_space.free_reservation(ptr)
+        self.device.free_phys(alloc)
 
     def memcpyH2D(self, dst: int, size: int, payload=None, sync: bool = True,
                   stream: int = 0) -> Generator:
-        self.calls_intercepted += 1
-        done = yield from self.rt.cudaMemcpyAsync(
-            dst, payload, size, MemcpyKind.HostToDevice, stream=stream
-        )
+        ctx = yield from self._call()
+        done = ctx.copy_h2d(ctx.stream(stream), dst, size, payload)
         if sync:
             yield done
-        return None
 
     def memcpyD2H(self, src: int, size: int, stream: int = 0) -> Generator:
-        self.calls_intercepted += 1
-        out = np.zeros(min(size, self.rt.costs.payload_cap_bytes), dtype=np.uint8)
-        yield from self.rt.cudaMemcpy(out, src, size, MemcpyKind.DeviceToHost)
+        """Returns ``min(size, payload cap)`` bytes, zero past the window."""
+        ctx = yield from self._call()
+        data = yield from ctx.copy_d2h(ctx.stream(stream), src, size)
+        out = np.zeros(min(size, self.costs.payload_cap_bytes), dtype=np.uint8)
+        out[:len(data)] = data
         return out
 
     def memcpyD2D(self, dst: int, src: int, size: int, sync: bool = True,
                   stream: int = 0) -> Generator:
-        self.calls_intercepted += 1
-        done = yield from self.rt.cudaMemcpyAsync(
-            dst, src, size, MemcpyKind.DeviceToDevice, stream=stream
-        )
+        ctx = yield from self._call()
+        done = ctx.copy_d2d(ctx.stream(stream), dst, src, size)
         if sync:
             yield done
-        return None
 
     def cudaMemset(self, ptr: int, value: int, size: int, sync: bool = True,
                    stream: int = 0) -> Generator:
-        self.calls_intercepted += 1
-        yield from self.rt.cudaMemset(ptr, value, size)
-        return None
+        ctx = yield from self._call()
+        done = ctx.memset(ctx.stream(stream), ptr, value, size)
+        if sync:
+            yield done
 
     def cudaMallocHost(self, size: int) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaMallocHost(size))
+        """Pinned host allocation — host-side only, negligible cost."""
+        yield from self._call()
+        ptr = next(self._host_ids)
+        self._host_allocs[ptr] = size
+        return ptr
 
     def cudaFreeHost(self, ptr: int) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaFreeHost(ptr))
+        yield from self._call()
+        if ptr not in self._host_allocs:
+            raise CudaError(cudaError.cudaErrorInvalidValue, f"{ptr:#x} not host-allocated")
+        del self._host_allocs[ptr]
 
     def cudaPointerGetAttributes(self, ptr: int) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaPointerGetAttributes(ptr))
+        ctx = yield from self._call()
+        if ctx.address_space.is_device_pointer(ptr):
+            mapping, _ = ctx.address_space.translate(ptr)
+            return PointerAttributes(True, self.device.device_id, mapping.size)
+        if ptr in self._host_allocs:
+            return PointerAttributes(False, -1, self._host_allocs[ptr])
+        raise CudaError(cudaError.cudaErrorInvalidValue, f"unknown pointer {ptr:#x}")
+
+    def cudaMemGetInfo(self) -> Generator:
+        """(free, total) device memory in bytes."""
+        yield from self._call()
+        return (self.device.mem_free, self.device.total_mem)
 
     # --- kernels ---
     def cudaGetFunction(self, name: str) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaGetFunction(name))
+        """Resolve a registered kernel to a function pointer (stands in for
+        the ``__cudaRegisterFunction`` calls real applications run at load)."""
+        ctx = yield from self._call()
+        return ctx.get_function(name)
 
     def pushCallConfiguration(self, grid=(1, 1, 1), block=(1, 1, 1),
                               stream: int = 0) -> Generator:
-        self.calls_intercepted += 1
-        yield from self.rt.cudaPushCallConfiguration(Dim3(*grid), Dim3(*block), stream)
-        return None
+        """Host-side bookkeeping the compiler emits before every launch."""
+        yield from self._call()
 
     def cudaLaunchKernel(self, token: int, grid=(1, 1, 1), block=(1, 1, 1),
                          args: tuple = (), stream: int = 0,
                          work: Optional[float] = None) -> Generator:
-        self.calls_intercepted += 1
-        yield from self.rt.cudaLaunchKernel(
-            token, Dim3(*grid), Dim3(*block), tuple(args), stream=stream, work=work
-        )
-        return None
+        ctx = yield from self._call()
+        yield self.env.timeout(self.costs.kernel_launch_s)
+        ctx.launch_kernel(token, Dim3(*grid), Dim3(*block), tuple(args),
+                          stream_handle=stream, work_override=work)
 
     # --- streams / events / sync ---
     def cudaStreamCreate(self) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaStreamCreate())
+        ctx = yield from self._call()
+        yield self.env.timeout(self.costs.stream_create_s)
+        return ctx.create_stream().handle
 
     def cudaStreamSynchronize(self, stream: int) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaStreamSynchronize(stream))
+        ctx = yield from self._call()
+        yield ctx.stream(stream).synchronize()
 
     def cudaStreamDestroy(self, stream: int) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaStreamDestroy(stream))
+        ctx = yield from self._call()
+        ctx.destroy_stream(stream)
 
     def cudaEventCreate(self) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaEventCreate())
+        ctx = yield from self._call()
+        return ctx.create_event().handle
 
     def cudaEventRecord(self, event: int, stream: int = 0) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaEventRecord(event, stream))
+        ctx = yield from self._call()
+        ctx.event(event).record(ctx.stream(stream))
 
     def cudaEventSynchronize(self, event: int) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaEventSynchronize(event))
+        ctx = yield from self._call()
+        yield ctx.event(event).synchronize()
 
     def cudaEventElapsedTime(self, start: int, end: int) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaEventElapsedTime(start, end))
-
-    def cudaMemGetInfo(self) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaMemGetInfo())
+        ctx = yield from self._call()
+        return ctx.event(end).elapsed_ms(ctx.event(start))
 
     def cudaDeviceSynchronize(self) -> Generator:
-        self.calls_intercepted += 1
-        return (yield from self.rt.cudaDeviceSynchronize())
+        ctx = yield from self._call()
+        yield ctx.synchronize()
 
     # --- cuDNN / cuBLAS ---
     def cudnnCreate(self) -> Generator:
-        self.calls_intercepted += 1
-        yield from self._ensure_libs()
-        return (yield from self._lib.create("cudnn")).handle
+        lib = yield from self._library()
+        return (yield from lib.create("cudnn")).handle
 
     def cudnnCreateDescriptor(self, kind: str) -> Generator:
-        self.calls_intercepted += 1
-        yield from self._ensure_libs()
-        return (yield from self._lib.create_descriptor(kind))
+        lib = yield from self._library()
+        return (yield from lib.create_descriptor(kind))
 
     def cudnnSetDescriptor(self, desc: int, **settings) -> Generator:
-        self.calls_intercepted += 1
-        yield from self._ensure_libs()
-        return (yield from self._lib.set_descriptor(desc, **settings))
+        lib = yield from self._library()
+        return (yield from lib.set_descriptor(desc, **settings))
 
     def cudnnDestroyDescriptor(self, desc: int) -> Generator:
-        self.calls_intercepted += 1
-        yield from self._ensure_libs()
-        return (yield from self._lib.destroy_descriptor(desc))
+        lib = yield from self._library()
+        return (yield from lib.destroy_descriptor(desc))
 
     def cudnnOp(self, handle: int, op: str, work: float, sync: bool = False,
                 stream: int = 0) -> Generator:
-        self.calls_intercepted += 1
-        yield from self._ensure_libs()
-        done = yield from self._lib.op(handle, op, work, stream=stream)
+        lib = yield from self._library()
+        done = yield from lib.op(handle, op, work, stream=stream)
         if sync:
             yield done
-        return None
 
     def cublasCreate(self) -> Generator:
-        self.calls_intercepted += 1
-        yield from self._ensure_libs()
-        return (yield from self._lib.create("cublas")).handle
+        lib = yield from self._library()
+        return (yield from lib.create("cublas")).handle
 
     def cublasOp(self, handle: int, op: str, work: float, sync: bool = False,
                  stream: int = 0) -> Generator:
-        self.calls_intercepted += 1
-        yield from self._ensure_libs()
-        done = yield from self._lib.op(handle, op, work, stream=stream)
+        lib = yield from self._library()
+        done = yield from lib.op(handle, op, work, stream=stream)
         if sync:
             yield done
-        return None
 
 
 class _NativeLease:
-    def __init__(self, provider, gpu_session, request):
+    def __init__(self, provider, gpu_session: NativeGpuSession, request):
         self.gpu = gpu_session
         self._provider = provider
         self._request = request
 
     def release(self) -> Generator:
+        self.gpu.close()
+        self._provider._free.append(self.gpu.device)
         self._provider._gate.release(self._request)
         if False:
             yield
@@ -278,32 +338,9 @@ class NativeGpuProvider:
         request = self._gate.request()
         yield request
         fc.add_phase("gpu_queue", self.env.now - t0)
-        device = self._free.pop()
-        # native: a fresh process gets a fresh (uninitialized) runtime
-        runtime = LocalCudaRuntime(self.env, [device], self.kernels, self.costs)
-        session = NativeGpuSession(self.env, runtime)
-        lease = _NativeLease(self, session, request)
-
-        def _release() -> Generator:
-            # process exit tears the context down and frees its memory
-            rt = session.rt
-            if rt._context is not None:
-                ctx = rt._context
-                for mapping in list(ctx.address_space.mappings):
-                    ctx.address_space.unmap(mapping.va)
-                    ctx.device.free_phys(mapping.allocation)
-                extra = ctx.device.mem_used
-                if extra:
-                    ctx.device.unreserve_bytes(extra)
-                ctx.destroy()
-            self._free.append(device)
-            self._gate.release(request)
-            if False:
-                yield
-            return None
-
-        lease.release = _release
-        return lease
+        # native: a fresh process gets a fresh (uninitialized) session
+        session = NativeGpuSession(self.env, self._free.pop(), self.kernels, self.costs)
+        return _NativeLease(self, session, request)
 
 
 # ======================================================================

@@ -7,6 +7,7 @@ optimization flags a call is:
 
 * **localized** — answered from guest-side state, zero network traffic
   (``cudaPointerGetAttributes`` from the allocation table,
+  ``cudaMemGetInfo`` from it and the declared budget,
   ``__cudaPushCallConfiguration`` piggybacked onto the next launch,
   ``cudaMallocHost`` fully emulated, descriptor create/set/destroy served
   from the guest-side descriptor pool),
@@ -22,9 +23,10 @@ Counters record intercepted vs forwarded calls so the evaluation can
 report the paper's "reduced forwarded APIs by up to 48%/96%" numbers.
 
 Method names and signatures form the *GPU session facade* shared with the
-native baseline (:class:`repro.core.deployment.NativeGpuSession`):
-workloads are written once against this facade and run unmodified under
-native, DGSF/OpenFaaS and DGSF/Lambda deployments.
+native baseline (:class:`repro.core.deployment.NativeGpuSession`, which
+executes the same calls on a local GPU): workloads are written once
+against this facade and run unmodified under native, DGSF/OpenFaaS and
+DGSF/Lambda deployments.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.sim.core import Environment
 from repro.simcuda.costs import CostModel, DEFAULT_COSTS
 from repro.simcuda.libs import DESCRIPTOR_KINDS
 from repro.simcuda.errors import CudaError, cudaError
-from repro.simcuda.runtime import PointerAttributes
+from repro.simcuda.types import PointerAttributes
 from repro.simnet.rpc import PendingReply, RpcClient, RpcError, RpcTimeout
 from repro.obs.metrics import MetricsRegistry
 from repro.core.classify import ApiClass, classify
@@ -130,6 +132,8 @@ class GuestLibrary:
         self._descriptor_pool: dict[str, list[int]] = {k: [] for k in DESCRIPTOR_KINDS}
         self._local_descriptors: dict[int, tuple[str, dict]] = {}
         self._device_count: Optional[int] = None
+        #: the declared budget, learned from the first cudaMemGetInfo reply
+        self._mem_budget: Optional[int] = None
         self._push_config: Optional[tuple] = None
         self._batch: list[tuple[str, tuple, int]] = []
         # async-forward state: unharvested in-flight calls (FIFO) and the
@@ -649,10 +653,10 @@ class GuestLibrary:
 
     def cudaMemGetInfo(self) -> Generator:
         self._intercept()
-        if classify("cudaPointerGetAttributes", self.flags) is ApiClass.LOCALIZABLE:
+        if classify("cudaMemGetInfo", self.flags) is ApiClass.LOCALIZABLE:
             # the guest tracks its own allocations, and the budget is the
             # declared amount — answerable locally once known
-            if getattr(self, "_mem_budget", None) is not None:
+            if self._mem_budget is not None:
                 yield from self._local()
                 used = sum(self._device_allocs.values())
                 return (self._mem_budget - used, self._mem_budget)

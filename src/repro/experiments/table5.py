@@ -16,7 +16,6 @@ from repro.core.config import DgsfConfig
 from repro.core.deployment import DgsfDeployment, NativeGpuSession
 from repro.core.guest import GuestLibrary
 from repro.core.migration import migrate_api_server
-from repro.simcuda.runtime import LocalCudaRuntime
 from repro.simcuda.device import SimGPU
 from repro.simcuda.types import MB
 from repro.sim.core import Environment
@@ -31,8 +30,7 @@ ARRAY_SIZES_MB = (323, 3514, 7802, 13194)
 
 def _run_native(array_mb: int) -> float:
     env = Environment()
-    gpu = SimGPU(env, 0)
-    session = NativeGpuSession(env, LocalCudaRuntime(env, [gpu]))
+    session = NativeGpuSession(env, SimGPU(env, 0))
     t0 = env.now
     proc = env.process(
         synthetic_migration_workload(env, session, array_mb * MB)

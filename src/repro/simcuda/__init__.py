@@ -2,8 +2,11 @@
 
 A behavioural model of the NVIDIA software stack DGSF interposes:
 
-* :mod:`~repro.simcuda.runtime` — the ``cudaXxx`` runtime API that guest
-  applications (and :mod:`repro.mllib`) program against,
+* :mod:`~repro.simcuda.context` — CUDA contexts: address space, streams,
+  events, per-context kernel function pointers, and the stream-ordered
+  copies and memsets that both the native session
+  (:class:`repro.core.deployment.NativeGpuSession`) and the DGSF API
+  server execute,
 * :mod:`~repro.simcuda.driver` — the ``cuXxx`` driver API, including the
   CUDA 10.2 low-level virtual-address-management functions
   (``cuMemCreate`` / ``cuMemAddressReserve`` / ``cuMemMap``) that DGSF's
@@ -24,7 +27,7 @@ from repro.simcuda.errors import CudaError, cudaError, CUresult
 from repro.simcuda.types import (
     Dim3,
     DeviceProperties,
-    MemcpyKind,
+    PointerAttributes,
     V100_PROPERTIES,
 )
 from repro.simcuda.costs import CostModel, DEFAULT_COSTS
@@ -34,7 +37,6 @@ from repro.simcuda.va import AddressSpace
 from repro.simcuda.context import CudaContext
 from repro.simcuda.stream import Stream, CudaEvent
 from repro.simcuda.kernels import KernelDef, KernelRegistry, builtin_registry
-from repro.simcuda.runtime import LocalCudaRuntime, CudaRuntimeAPI
 from repro.simcuda.driver import DriverAPI
 from repro.simcuda.libs import (
     LIBRARY_KINDS,
@@ -50,7 +52,7 @@ __all__ = [
     "CUresult",
     "Dim3",
     "DeviceProperties",
-    "MemcpyKind",
+    "PointerAttributes",
     "V100_PROPERTIES",
     "CostModel",
     "DEFAULT_COSTS",
@@ -63,8 +65,6 @@ __all__ = [
     "KernelDef",
     "KernelRegistry",
     "builtin_registry",
-    "LocalCudaRuntime",
-    "CudaRuntimeAPI",
     "DriverAPI",
     "LIBRARY_KINDS",
     "CudnnDescriptor",

@@ -1,10 +1,11 @@
 """CUDA contexts.
 
 A context owns a virtual address space, streams, events and per-context
-kernel *function pointers*.  Function pointers being context-local is a
-real CUDA property the paper leans on: after migrating to another GPU
-(hence another context) the API server must re-resolve every kernel handle
-(§V-B "Kernel launches").
+kernel *function pointers*, and performs the stream-ordered data movement
+(H2D/D2H/D2D copies, memset) on the memory it maps.  Function pointers
+being context-local is a real CUDA property the paper leans on: after
+migrating to another GPU (hence another context) the API server must
+re-resolve every kernel handle (§V-B "Kernel launches").
 
 Context *creation* is expensive (3.2 s, ~303 MB — paper §V-C); the caller
 decides when to pay it: native applications pay on first CUDA call, DGSF
@@ -14,7 +15,7 @@ API servers pre-create contexts off the critical path.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Generator, Optional
 
 import numpy as np
 
@@ -117,6 +118,56 @@ class CudaContext:
             return np.zeros(0, dtype=np.uint8)
         end = min(offset + nbytes, alloc.payload_bytes)
         return alloc.data[offset:end]
+
+    # -- data movement ------------------------------------------------------------------
+    # Each op is ordered on ``stream``, which may belong to another context:
+    # after a peer-access migration the API server computes on the new GPU
+    # while this context still owns (and translates) the memory.  Addresses
+    # are translated when the op starts, not when it is enqueued.
+    def copy_h2d(self, stream: Stream, dst: int, size: int,
+                 payload: Optional[np.ndarray] = None) -> Event:
+        """Enqueue a host-to-device copy; returns its completion event."""
+
+        def start() -> Event:
+            if payload is not None:
+                mapping, offset = self.address_space.translate(dst)
+                mapping.allocation.write(offset, payload)
+            return self.device.copy_h2d(size)
+
+        return stream.enqueue(start, name="h2d")
+
+    def copy_d2h(self, stream: Stream, src: int, size: int) -> Generator:
+        """Copy device-to-host and wait for it; returns the bytes read (the
+        payload window's share of ``size``)."""
+        read = [None]
+
+        def start() -> Event:
+            mapping, offset = self.address_space.translate(src)
+            read[0] = mapping.allocation.read(offset, size)
+            return self.device.copy_d2h(size)
+
+        yield stream.enqueue(start, name="d2h")
+        return read[0]
+
+    def copy_d2d(self, stream: Stream, dst: int, src: int, size: int) -> Event:
+        """Enqueue a device-to-device copy; returns its completion event."""
+
+        def start() -> Event:
+            smap, soff = self.address_space.translate(src)
+            dmap, doff = self.address_space.translate(dst)
+            dmap.allocation.write(doff, smap.allocation.read(soff, size))
+            return self.device.copy_d2d(size)
+
+        return stream.enqueue(start, name="d2d")
+
+    def memset(self, stream: Stream, ptr: int, value: int, size: int) -> Event:
+        """Enqueue a memset of ``size`` bytes; returns its completion event."""
+
+        def start() -> Event:
+            self.resolve_view(ptr, size)[:] = value & 0xFF
+            return self.device.memset(size)
+
+        return stream.enqueue(start, name="memset")
 
     # -- launching -------------------------------------------------------------------
     def launch_kernel(

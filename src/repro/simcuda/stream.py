@@ -15,6 +15,7 @@ import itertools
 from typing import Callable, Generator, Optional
 
 from repro.sim.core import Environment, Event
+from repro.simcuda.errors import CudaError, cudaError
 
 __all__ = ["Stream", "CudaEvent"]
 
@@ -108,11 +109,12 @@ class CudaEvent:
         """Simulated time at which the recorded work completed (if done)."""
         return self._record_time
 
-    def elapsed_since(self, earlier: "CudaEvent") -> float:
-        """cudaEventElapsedTime equivalent (seconds)."""
+    def elapsed_ms(self, earlier: "CudaEvent") -> float:
+        """``cudaEventElapsedTime``: milliseconds from ``earlier`` to this."""
         if self._record_time is None or earlier._record_time is None:
-            raise RuntimeError("both events must have completed")
-        return self._record_time - earlier._record_time
+            raise CudaError(cudaError.cudaErrorInvalidResourceHandle,
+                            "both events must have completed")
+        return (self._record_time - earlier._record_time) * 1000.0
 
 
 def _completed_event(env: Environment) -> Event:

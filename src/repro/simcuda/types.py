@@ -1,11 +1,14 @@
-"""Plain data types of the CUDA surface (dim3, device properties, enums)."""
+"""Plain data types of the CUDA surface (dim3, device properties, pointer
+attributes)."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
-__all__ = ["Dim3", "DeviceProperties", "MemcpyKind", "V100_PROPERTIES", "KB", "MB", "GB"]
+__all__ = [
+    "Dim3", "DeviceProperties", "PointerAttributes", "V100_PROPERTIES",
+    "KB", "MB", "GB",
+]
 
 KB = 1024
 MB = 1024 * KB
@@ -40,6 +43,26 @@ class DeviceProperties:
     compute_capability: tuple[int, int]
     pci_bus_id: int = 0
 
+    def as_dict(self) -> dict:
+        """What ``cudaGetDeviceProperties`` hands a function: a plain dict,
+        as the real system marshals a struct rather than a live object."""
+        return {
+            "name": self.name,
+            "total_global_mem": self.total_global_mem,
+            "multiprocessor_count": self.multiprocessor_count,
+            "clock_rate_khz": self.clock_rate_khz,
+            "compute_capability": self.compute_capability,
+        }
+
+
+@dataclass(frozen=True)
+class PointerAttributes:
+    """Result of ``cudaPointerGetAttributes``."""
+
+    is_device: bool
+    device_id: int
+    size: int
+
 
 #: The GPUs used in the paper's testbed (AWS p3.8xlarge: 4x V100 16 GB).
 V100_PROPERTIES = DeviceProperties(
@@ -50,12 +73,3 @@ V100_PROPERTIES = DeviceProperties(
     compute_capability=(7, 0),
 )
 
-
-class MemcpyKind(enum.IntEnum):
-    """``cudaMemcpyKind``."""
-
-    HostToHost = 0
-    HostToDevice = 1
-    DeviceToHost = 2
-    DeviceToDevice = 3
-    Default = 4

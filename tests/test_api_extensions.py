@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import DgsfConfig
-from repro.simcuda import CudaError, LocalCudaRuntime, SimGPU
+from repro.core.deployment import NativeGpuSession
+from repro.simcuda import CudaError, SimGPU
 from repro.simcuda.types import GB, MB
 from repro.sim import Environment
 from repro.testing import make_world
@@ -14,12 +15,12 @@ def drive(env, gen):
     return env.run(until=proc)
 
 
-# --- native runtime -----------------------------------------------------------
+# --- native session -----------------------------------------------------------
 
 def test_native_mem_get_info_tracks_allocations():
     env = Environment()
     gpu = SimGPU(env, 0)
-    rt = LocalCudaRuntime(env, [gpu])
+    rt = NativeGpuSession(env, gpu)
     free0, total = drive(env, rt.cudaMemGetInfo())
     assert total == 16 * GB
     assert free0 == total - 303 * MB  # context footprint
@@ -32,15 +33,14 @@ def test_native_mem_get_info_tracks_allocations():
 def test_native_event_elapsed_time():
     env = Environment()
     gpu = SimGPU(env, 0)
-    rt = LocalCudaRuntime(env, [gpu])
+    rt = NativeGpuSession(env, gpu)
     fptr = drive(env, rt.cudaGetFunction("timed"))
-    from repro.simcuda.types import Dim3
 
     def run(env):
         e1 = yield from rt.cudaEventCreate()
         e2 = yield from rt.cudaEventCreate()
         yield from rt.cudaEventRecord(e1)
-        yield from rt.cudaLaunchKernel(fptr, Dim3(1), Dim3(1), (0.75,))
+        yield from rt.cudaLaunchKernel(fptr, args=(0.75,))
         yield from rt.cudaEventRecord(e2)
         yield from rt.cudaEventSynchronize(e2)
         return (yield from rt.cudaEventElapsedTime(e1, e2))
@@ -51,7 +51,7 @@ def test_native_event_elapsed_time():
 
 def test_native_elapsed_time_requires_completed_events():
     env = Environment()
-    rt = LocalCudaRuntime(env, [SimGPU(env, 0)])
+    rt = NativeGpuSession(env, SimGPU(env, 0))
 
     def run(env):
         e1 = yield from rt.cudaEventCreate()

@@ -78,6 +78,13 @@ def test_pointer_attributes_localizable_with_avoidance():
     assert classify("cudaPointerGetAttributes", off) is ApiClass.REMOTABLE_SYNC
 
 
+def test_mem_get_info_localizable_with_avoidance():
+    on = OptimizationFlags.all()
+    off = OptimizationFlags.none()
+    assert classify("cudaMemGetInfo", on) is ApiClass.LOCALIZABLE
+    assert classify("cudaMemGetInfo", off) is ApiClass.REMOTABLE_SYNC
+
+
 def test_malloc_always_remotable():
     assert classify("cudaMalloc", OptimizationFlags.all()) is ApiClass.REMOTABLE_SYNC
     assert classify("cudaDeviceSynchronize", OptimizationFlags.all()) is ApiClass.REMOTABLE_SYNC

@@ -63,7 +63,55 @@ STRATEGY_DURATIONS = {
     "checkpoint_restore": 0.7120517342094859,
     "peer_access": 0.03500000000000014,
 }
-#: ``bench/run.py --seed 3 --seconds 1 --trace 0`` per workload: the
+#: ``run_single_invocation(name, variant, DgsfConfig(num_gpus=1, seed=0))``
+#: under the native and CPU baselines: (e2e, phase dict) per workload
+NATIVE_TIMELINES = {
+    ("kmeans", "native"): (14.258439185461814, {
+        "cuda_init": 3.2000020000000005, "download": 0.9349426628571429,
+        "gpu_queue": 0.0, "model_load": 0.02274527182213948,
+        "processing": 10.100621250782527}),
+    ("covidctnet", "native"): (25.32731898989991, {
+        "cuda_init": 3.2000020000000005, "download": 1.0958673371428571,
+        "gpu_queue": 0.0, "model_load": 5.011703203556959,
+        "processing": 16.019618449200106}),
+    ("face_detection", "native"): (19.51388329722807, {
+        "cuda_init": 3.2000020000000005, "download": 4.34277524,
+        "gpu_queue": 0.0, "model_load": 2.862595232423506,
+        "processing": 9.108382824804574}),
+    ("face_identification", "native"): (13.265680827566495, {
+        "cuda_init": 3.2000019999999996, "download": 5.675986925714286,
+        "gpu_queue": 0.0, "model_load": 2.2776524222461862,
+        "processing": 2.11191147960602}),
+    ("nlp_qa", "native"): (34.54125832008729, {
+        "cuda_init": 3.2000020000000005, "download": 4.709003794285714,
+        "gpu_queue": 0.0, "model_load": 3.119161094449111,
+        "processing": 23.512963431352446}),
+    ("image_classification", "native"): (27.05505915120291, {
+        "cuda_init": 3.2000020000000005, "download": 5.0090037942857135,
+        "gpu_queue": 0.0, "model_load": 2.711602931396463,
+        "processing": 16.134322425520743}),
+    ("kmeans", "cpu"): (430.0349426628572, {
+        "download": 0.9349426628571429, "processing": 429.1}),
+    ("covidctnet", "cpu"): (100.29586733714287, {
+        "download": 1.0958673371428571, "processing": 99.2}),
+    ("face_detection", "cpu"): (75.34277524, {
+        "download": 4.34277524, "processing": 71.0}),
+    ("face_identification", "cpu"): (47.775986925714285, {
+        "download": 5.675986925714286, "processing": 42.1}),
+    ("nlp_qa", "cpu"): (351.7090037942857, {
+        "download": 4.709003794285714, "processing": 347.0}),
+    ("image_classification", "cpu"): (71.70900379428572, {
+        "download": 5.0090037942857135, "processing": 66.7}),
+}
+#: Table V's native column: ``table5._run_native(mb)`` per array size
+TABLE5_NATIVE = {
+    323: 3.211308286845008,
+    3514: 3.2229290718723,
+    7802: 3.238544843165633,
+    13194: 3.2581810928889663,
+}
+#: ``harness.run_workload(WORKLOADS[w], 3, 1.0, traced=False)`` per bench
+#: workload (what ``bench/run.py --seed 3 --seconds 1`` prints): the
 #: full-stack ``sim_digest`` (CRC32 of the ordered invocation outcomes
 #: plus LLM emission CRCs), guest through simcuda
 BENCH_SIM_DIGESTS = {
@@ -188,16 +236,47 @@ def test_every_migration_strategy_duration_is_bit_identical():
         assert outcome.duration_s == STRATEGY_DURATIONS[name], name
 
 
+def test_native_and_cpu_timelines_are_bit_identical():
+    for (name, variant), (e2e, phases) in NATIVE_TIMELINES.items():
+        inv = run_single_invocation(name, variant, DgsfConfig(num_gpus=1, seed=0))
+        assert inv.e2e_s == e2e, (name, variant)
+        assert dict(inv.phases) == phases, (name, variant)
+
+
+def test_table5_native_runs_are_bit_identical():
+    from repro.experiments import table5
+
+    for array_mb, seconds in TABLE5_NATIVE.items():
+        assert table5._run_native(array_mb) == seconds, array_mb
+
+
+#: runs one bench workload the way ``bench/run.py`` does, minus the
+#: setup-time probes, and prints what the digest golden checks
+_BENCH_DIGEST_SCRIPT = """
+import json, sys
+sys.path[:0] = [{bench!r}, {src!r}]
+from harness import run_workload
+from plans import WORKLOADS
+report = run_workload(WORKLOADS[{workload!r}], 3, 1.0, traced=False)
+counts = report["counts"]
+print(json.dumps({{
+    "sim_digest": report["sim_digest"],
+    "failed": counts["n_invocations"] - counts["n_completed"],
+    "checks": report["checks"],
+}}))
+"""
+
+
 @pytest.mark.parametrize("workload", sorted(BENCH_SIM_DIGESTS))
-def test_full_stack_bench_sim_digest_is_bit_identical(workload, tmp_path):
+def test_full_stack_bench_sim_digest_is_bit_identical(workload):
     root = Path(__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
-         "--seed", "3", "--seconds", "1", "--trace", "0",
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=600,
-    )
+    script = _BENCH_DIGEST_SCRIPT.format(
+        bench=str(root / "bench"), src=str(root / "src"), workload=workload)
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
-    result = json.loads((tmp_path / workload / "result.json").read_text())
+    result = json.loads(done.stdout.splitlines()[-1])
     assert result["sim_digest"] == BENCH_SIM_DIGESTS[workload]
-    assert json.loads(done.stdout.splitlines()[-1])["failed"] == 0
+    assert result["failed"] == 0
+    failing = [name for name, ok, _ in result["checks"] if not ok]
+    assert not failing, failing

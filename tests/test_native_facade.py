@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.deployment import NativeGpuSession
-from repro.simcuda import LocalCudaRuntime, SimGPU, CudaError
+from repro.simcuda import SimGPU, CudaError
 from repro.simcuda.types import GB, MB
 from repro.sim import Environment
 
@@ -14,7 +14,7 @@ from repro.sim import Environment
 def native():
     env = Environment()
     gpu = SimGPU(env, 0)
-    session = NativeGpuSession(env, LocalCudaRuntime(env, [gpu]))
+    session = NativeGpuSession(env, gpu)
     return env, gpu, session
 
 
@@ -123,3 +123,38 @@ def test_device_synchronize_and_counters(native):
     drive(env, run(env))
     assert s.calls_intercepted > 0
     assert s.calls_forwarded == 0  # nothing crosses a network natively
+
+
+def _stream_program(env, gpu):
+    """Queue a 1 s kernel and a fill on a created stream, read the bytes
+    back on that stream, then overwrite them there without waiting."""
+    ptr = yield from gpu.cudaMalloc(64)
+    s = yield from gpu.cudaStreamCreate()
+    timed = yield from gpu.cudaGetFunction("timed")
+    fill = yield from gpu.cudaGetFunction("fill")
+    yield from gpu.cudaLaunchKernel(timed, args=(1.0,), stream=s)
+    yield from gpu.cudaLaunchKernel(fill, args=(0.0, ptr, 64, 0xAB), stream=s)
+    filled = yield from gpu.memcpyD2H(ptr, 64, stream=s)
+    yield from gpu.cudaLaunchKernel(timed, args=(1.0,), stream=s)
+    t0 = env.now
+    yield from gpu.cudaMemset(ptr, 0x5A, 64, sync=False, stream=s)
+    memset_waited = env.now - t0
+    cleared = yield from gpu.memcpyD2H(ptr, 64, stream=s)
+    return bytes(filled[:64]), memset_waited < 0.5, bytes(cleared[:64])
+
+
+def test_d2h_and_memset_honor_their_stream_like_dgsf(native):
+    """The same program reads the same bytes natively and through DGSF:
+    the D2H waits for the work queued on its stream, and an async memset
+    is ordered on its stream without blocking the caller."""
+    from repro.core import DgsfConfig
+    from repro.testing import make_world
+
+    env, gpu, s = native
+    native_result = drive(env, _stream_program(env, s))
+    world = make_world(DgsfConfig(num_gpus=1))
+    guest, server, rpc = world.attach_guest()
+    dgsf_result = world.drive(_stream_program(world.env, guest))
+    world.detach_guest(guest, server, rpc)
+    assert dgsf_result == (b"\xab" * 64, True, b"\x5a" * 64)
+    assert native_result == dgsf_result

@@ -1,16 +1,11 @@
-"""Unit tests for the local (native) CUDA runtime implementation."""
+"""Unit tests for native execution: the GPU session facade on a local GPU."""
 
 import numpy as np
 import pytest
 
+from repro.core.deployment import NativeGpuSession
 from repro.sim import Environment
-from repro.simcuda import (
-    CudaError,
-    LocalCudaRuntime,
-    SimGPU,
-    MemcpyKind,
-    Dim3,
-)
+from repro.simcuda import CudaError, SimGPU
 from repro.simcuda.costs import CostModel
 from repro.simcuda.types import MB
 
@@ -19,12 +14,12 @@ from repro.simcuda.types import MB
 def setup():
     env = Environment()
     gpu = SimGPU(env, 0)
-    rt = LocalCudaRuntime(env, [gpu])
+    rt = NativeGpuSession(env, gpu)
     return env, gpu, rt
 
 
 def drive(env, gen):
-    """Run one runtime-call generator to completion, return its value."""
+    """Run one session-call generator to completion, return its value."""
     p = env.process(gen)
     return env.run(until=p)
 
@@ -34,7 +29,6 @@ def test_first_call_pays_cuda_init(setup):
     count = drive(env, rt.cudaGetDeviceCount())
     assert count == 1
     assert env.now >= 3.2  # paper: CUDA init 3.2 s on the critical path
-    assert rt.init_time_spent == pytest.approx(3.2)
 
 
 def test_second_call_does_not_pay_init_again(setup):
@@ -70,9 +64,8 @@ def test_memcpy_h2d_d2h_roundtrip(setup):
     env, gpu, rt = setup
     data = np.arange(1024, dtype=np.uint8)
     ptr = drive(env, rt.cudaMalloc(1024))
-    drive(env, rt.cudaMemcpy(ptr, data, 1024, MemcpyKind.HostToDevice))
-    out = np.zeros(1024, dtype=np.uint8)
-    drive(env, rt.cudaMemcpy(out, ptr, 1024, MemcpyKind.DeviceToHost))
+    drive(env, rt.memcpyH2D(ptr, 1024, payload=data))
+    out = drive(env, rt.memcpyD2H(ptr, 1024))
     assert np.array_equal(out, data)
 
 
@@ -81,10 +74,9 @@ def test_memcpy_d2d_moves_data(setup):
     data = np.full(256, 9, dtype=np.uint8)
     src = drive(env, rt.cudaMalloc(256))
     dst = drive(env, rt.cudaMalloc(256))
-    drive(env, rt.cudaMemcpy(src, data, 256, MemcpyKind.HostToDevice))
-    drive(env, rt.cudaMemcpy(dst, src, 256, MemcpyKind.DeviceToDevice))
-    out = np.zeros(256, dtype=np.uint8)
-    drive(env, rt.cudaMemcpy(out, dst, 256, MemcpyKind.DeviceToHost))
+    drive(env, rt.memcpyH2D(src, 256, payload=data))
+    drive(env, rt.memcpyD2D(dst, src, 256))
+    out = drive(env, rt.memcpyD2H(dst, 256))
     assert np.array_equal(out, data)
 
 
@@ -92,10 +84,10 @@ def test_memcpy_time_scales_with_size():
     env = Environment()
     costs = CostModel(h2d_bandwidth_Bps=1e9, memcpy_overhead_s=0.0)
     gpu = SimGPU(env, 0, costs=costs)
-    rt = LocalCudaRuntime(env, [gpu], costs=costs)
+    rt = NativeGpuSession(env, gpu, costs=costs)
     ptr = drive(env, rt.cudaMalloc(2_000_000_000))
     t0 = env.now
-    drive(env, rt.cudaMemcpy(ptr, None, 1_000_000_000, MemcpyKind.HostToDevice))
+    drive(env, rt.memcpyH2D(ptr, 1_000_000_000))
     assert env.now - t0 == pytest.approx(1.0, rel=0.01)
 
 
@@ -103,8 +95,7 @@ def test_memset_writes_value(setup):
     env, gpu, rt = setup
     ptr = drive(env, rt.cudaMalloc(128))
     drive(env, rt.cudaMemset(ptr, 7, 128))
-    out = np.zeros(128, dtype=np.uint8)
-    drive(env, rt.cudaMemcpy(out, ptr, 128, MemcpyKind.DeviceToHost))
+    out = drive(env, rt.memcpyD2H(ptr, 128))
     assert np.all(out == 7)
 
 
@@ -114,15 +105,13 @@ def test_kernel_launch_with_payload(setup):
     fptr = drive(env, rt.cudaGetFunction("fill"))
 
     def run(env):
-        done = yield from rt.cudaLaunchKernel(
-            fptr, Dim3(1), Dim3(64), (0.001, ptr, 64, 0xAB)
+        yield from rt.cudaLaunchKernel(
+            fptr, grid=(1, 1, 1), block=(64, 1, 1), args=(0.001, ptr, 64, 0xAB)
         )
-        yield done
         yield from rt.cudaDeviceSynchronize()
 
     drive(env, run(env))
-    out = np.zeros(64, dtype=np.uint8)
-    drive(env, rt.cudaMemcpy(out, ptr, 64, MemcpyKind.DeviceToHost))
+    out = drive(env, rt.memcpyD2H(ptr, 64))
     assert np.all(out == 0xAB)
 
 
@@ -133,12 +122,11 @@ def test_kernel_launches_on_stream_are_ordered(setup):
 
     def run(env):
         for _ in range(5):
-            yield from rt.cudaLaunchKernel(inc, Dim3(1), Dim3(1), (0.01, ptr, 16))
+            yield from rt.cudaLaunchKernel(inc, args=(0.01, ptr, 16))
         yield from rt.cudaDeviceSynchronize()
 
     drive(env, run(env))
-    out = np.zeros(16, dtype=np.uint8)
-    drive(env, rt.cudaMemcpy(out, ptr, 16, MemcpyKind.DeviceToHost))
+    out = drive(env, rt.memcpyD2H(ptr, 16))
     assert np.all(out == 5)
 
 
@@ -155,7 +143,7 @@ def test_streams_create_sync_destroy(setup):
     fptr = drive(env, rt.cudaGetFunction("timed"))
 
     def run(env):
-        yield from rt.cudaLaunchKernel(fptr, Dim3(1), Dim3(1), (0.5,), stream=stream)
+        yield from rt.cudaLaunchKernel(fptr, args=(0.5,), stream=stream)
         t0 = env.now
         yield from rt.cudaStreamSynchronize(stream)
         return env.now - t0
@@ -173,7 +161,7 @@ def test_events_record_and_synchronize(setup):
     event = drive(env, rt.cudaEventCreate())
 
     def run(env):
-        yield from rt.cudaLaunchKernel(fptr, Dim3(1), Dim3(1), (1.0,))
+        yield from rt.cudaLaunchKernel(fptr, args=(1.0,))
         yield from rt.cudaEventRecord(event)
         t0 = env.now
         yield from rt.cudaEventSynchronize(event)
@@ -203,21 +191,14 @@ def test_set_device_validates(setup):
         drive(env, rt.cudaSetDevice(3))
 
 
-def test_multi_gpu_native_runtime_reports_count():
-    env = Environment()
-    gpus = [SimGPU(env, i) for i in range(4)]
-    rt = LocalCudaRuntime(env, gpus)
-    assert drive(env, rt.cudaGetDeviceCount()) == 4
-
-
 def test_device_synchronize_waits_all_streams(setup):
     env, gpu, rt = setup
     fptr = drive(env, rt.cudaGetFunction("timed"))
     s1 = drive(env, rt.cudaStreamCreate())
 
     def run(env):
-        yield from rt.cudaLaunchKernel(fptr, Dim3(1), Dim3(1), (1.0,), stream=0)
-        yield from rt.cudaLaunchKernel(fptr, Dim3(1), Dim3(1), (1.0,), stream=s1)
+        yield from rt.cudaLaunchKernel(fptr, args=(1.0,), stream=0)
+        yield from rt.cudaLaunchKernel(fptr, args=(1.0,), stream=s1)
         t0 = env.now
         yield from rt.cudaDeviceSynchronize()
         return env.now - t0
