@@ -7,12 +7,14 @@ GPU".  It:
 * pre-creates its CUDA context and one cuDNN + one cuBLAS handle on its
   *home* GPU at bring-up — the 755 MB idle footprint of §V-C — so none of
   that initialization is on any function's critical path,
-* realizes guest API calls through the *driver-level* low-level memory
-  management (``cuMemCreate``/``cuMemAddressReserve``/``cuMemMap``) so the
-  virtual address map can be reproduced on another GPU during migration,
+* realizes guest allocations through its memory context's low-level
+  lifecycle (:meth:`~repro.simcuda.context.CudaContext.malloc`:
+  ``cuMemCreate``/``cuMemAddressReserve``/``cuMemMap``) so the virtual
+  address map can be reproduced on another GPU during migration,
 * *simulates* restricted APIs — ``cudaGetDeviceCount`` always answers 1,
   property queries describe only the currently assigned GPU,
-* tracks every allocation so DGSF "knows exactly how much memory an
+* tracks every allocation — the memory context's address map is the
+  session's allocation table — so DGSF "knows exactly how much memory an
   application is using" and enforces the function's declared limit,
 * keeps guest-visible handles (streams, events, kernel functions, cuDNN/
   cuBLAS handles) as opaque tokens mapped to per-context objects, the
@@ -74,10 +76,9 @@ class FunctionSession:
 
     declared_bytes: int
     invocation_id: int = -1
+    #: bytes mapped in the memory context (its address map lists them)
     used_bytes: int = 0
     peak_bytes: int = 0
-    #: guest VA -> allocation size (the VAs live in the current context's space)
-    allocations: dict[int, int] = field(default_factory=dict)
     #: guest stream token -> {device_id: Stream}
     streams: dict[int, dict[int, Stream]] = field(default_factory=dict)
     #: guest event token -> CudaEvent (in current context)
@@ -173,8 +174,10 @@ class ApiServer:
 
     def setup(self) -> Generator:
         """Create the home context + own handle pair (off critical path)."""
-        driver = self.gpu_server.driver
-        ctx = yield from driver.cuCtxCreate(self.home_device_id)
+        ctx = yield from CudaContext.create(
+            self.env, self.gpu_server.device(self.home_device_id),
+            self.gpu_server.kernels,
+        )
         self._adopt_context(self.home_device_id, ctx)
         for kind in LIBRARY_KINDS:
             self._own[kind] = yield from self._libs[self.home_device_id].create(kind)
@@ -278,7 +281,7 @@ class ApiServer:
             session = self.session
             # Free leftover allocations (functions should free, but the
             # server guarantees cleanup like a process exit would).
-            for va in list(session.allocations):
+            for va, _ in self.memory_context.address_space.snapshot():
                 yield from self._free_va(va)
             self.release_handles(session)
             # Destroy per-function streams (all twins).
@@ -449,29 +452,18 @@ class ApiServer:
 
     def _free_va(self, va: int) -> Generator:
         session = self._session()
-        if va not in session.allocations:
-            raise CudaError(cudaError.cudaErrorInvalidValue, f"{va:#x} not allocated")
-        driver = self.gpu_server.driver
-        ctx = self.memory_context
-        alloc = driver.cuMemUnmap(ctx, va)
-        driver.cuMemAddressFree(ctx, va)
-        yield from driver.cuMemRelease(alloc)
-        session.used_bytes -= session.allocations.pop(va)
+        freed = yield from self.memory_context.free(va)
+        session.used_bytes -= freed
 
     def _alloc_va(self, size: int) -> Generator:
-        """Create, reserve and map ``size`` bytes in the memory context.
+        """Allocate and map ``size`` bytes in the memory context.
 
         ``cudaMalloc`` checks the function's declared limit first; KV-cache
         pages skip that check: cache growth is runtime-managed,
         admission-controlled through the monitor's charge ledger
         (``charge_extra``) instead of the static declaration."""
         session = self._session()
-        driver = self.gpu_server.driver
-        ctx = self.memory_context
-        alloc = yield from driver.cuMemCreate(self.memory_device_id, size)
-        va = driver.cuMemAddressReserve(ctx, size)
-        driver.cuMemMap(ctx, va, alloc)
-        session.allocations[va] = size
+        va = yield from self.memory_context.malloc(size)
         session.used_bytes += size
         session.peak_bytes = max(session.peak_bytes, session.used_bytes)
         return va
@@ -793,21 +785,13 @@ class ApiServer:
         # server's own handles and those the session created inline die
         # with the process.
         self.release_handles(session, own=True)
-        driver = self.gpu_server.driver
-        for device_id, ctx in list(self.contexts.items()):
-            # OS teardown frees the process's device memory in one sweep
-            # (no cuMemRelease latency: the process is not there to pay it).
-            space = ctx.address_space
-            for mapping in space.mappings:
-                space.unmap(mapping.va)
-                space.free_reservation(mapping.va)
-                ctx.device.free_phys(mapping.allocation)
-            for va in list(space.reservations):
-                space.free_reservation(va)
+        for device_id, ctx in self.contexts.items():
             if device_id != self.home_device_id:
                 # this context was claimed from the per-GPU migration slot
                 self.gpu_server.note_slot_lost(device_id)
-            driver.cuCtxDestroy(ctx)
+            # OS teardown frees the process's device memory in one sweep
+            # (no cuMemRelease latency: the process is not there to pay it)
+            ctx.destroy()
         self.contexts.clear()
         self._libs.clear()
         self.current_device_id = self.home_device_id

@@ -9,7 +9,8 @@ workload:
   ``mode="request"`` is the ablation baseline, which only forms a new
   batch once the previous one has fully drained (no mid-flight joins),
 * **KV-cache paging** — each sequence's cache grows page by page as real
-  simulated device allocations (``cuMemCreate``/map, exempt from the
+  allocations in the API server's memory context
+  (:meth:`~repro.simcuda.context.CudaContext.malloc`, exempt from the
   function's *declared* limit) charged through the monitor's ledger via
   :meth:`~repro.core.monitor.Monitor.charge_extra`, so cache pressure is
   visible to feasibility checks, imbalance detection, migration

@@ -18,8 +18,6 @@ from __future__ import annotations
 import itertools
 from typing import Generator, Optional
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
@@ -91,9 +89,7 @@ class NativeGpuSession:
         """Charge one local API call; the first also initializes CUDA."""
         yield self.env.timeout(self.costs.api_call_local_s)
         if self._ctx is None:
-            self.device.reserve_bytes(self.costs.cuda_context_bytes)
-            yield self.env.timeout(self.costs.cuda_init_s)
-            self._ctx = CudaContext(self.env, self.device, self.kernels)
+            self._ctx = yield from CudaContext.create(self.env, self.device, self.kernels)
         return self._ctx
 
     def _call(self) -> Generator:
@@ -115,13 +111,10 @@ class NativeGpuSession:
         ctx, self._ctx = self._ctx, None
         if ctx is None:
             return
-        for mapping in list(ctx.address_space.mappings):
-            ctx.address_space.unmap(mapping.va)
-            self.device.free_phys(mapping.allocation)
-        if self.device.mem_used:
-            # the context footprint and library handles
-            self.device.unreserve_bytes(self.device.mem_used)
         ctx.destroy()
+        if self.device.mem_used:
+            # what is left is the library handles' footprint
+            self.device.unreserve_bytes(self.device.mem_used)
 
     @staticmethod
     def _check_device(device: int) -> None:
@@ -146,18 +139,11 @@ class NativeGpuSession:
     # --- memory ---
     def cudaMalloc(self, size: int) -> Generator:
         ctx = yield from self._call()
-        yield self.env.timeout(self.costs.malloc_time(size))
-        alloc = self.device.alloc_phys(size)
-        va = ctx.address_space.reserve(size)
-        ctx.address_space.map(va, alloc)
-        return va
+        return (yield from ctx.malloc(size))
 
     def cudaFree(self, ptr: int) -> Generator:
         ctx = yield from self._call()
-        yield self.env.timeout(self.costs.free_s)
-        alloc = ctx.address_space.unmap(ptr)
-        ctx.address_space.free_reservation(ptr)
-        self.device.free_phys(alloc)
+        yield from ctx.free(ptr)
 
     def memcpyH2D(self, dst: int, size: int, payload=None, sync: bool = True,
                   stream: int = 0) -> Generator:
@@ -167,12 +153,9 @@ class NativeGpuSession:
             yield done
 
     def memcpyD2H(self, src: int, size: int, stream: int = 0) -> Generator:
-        """Returns ``min(size, payload cap)`` bytes, zero past the window."""
+        """Returns the bytes the copy read: the payload window's share."""
         ctx = yield from self._call()
-        data = yield from ctx.copy_d2h(ctx.stream(stream), src, size)
-        out = np.zeros(min(size, self.costs.payload_cap_bytes), dtype=np.uint8)
-        out[:len(data)] = data
-        return out
+        return (yield from ctx.copy_d2h(ctx.stream(stream), src, size))
 
     def memcpyD2D(self, dst: int, src: int, size: int, sync: bool = True,
                   stream: int = 0) -> Generator:
@@ -205,7 +188,7 @@ class NativeGpuSession:
         ctx = yield from self._call()
         if ctx.address_space.is_device_pointer(ptr):
             mapping, _ = ctx.address_space.translate(ptr)
-            return PointerAttributes(True, self.device.device_id, mapping.size)
+            return PointerAttributes(True, 0, mapping.size)
         if ptr in self._host_allocs:
             return PointerAttributes(False, -1, self._host_allocs[ptr])
         raise CudaError(cudaError.cudaErrorInvalidValue, f"unknown pointer {ptr:#x}")

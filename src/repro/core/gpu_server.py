@@ -27,7 +27,6 @@ from repro.sim.core import Environment, Event
 from repro.simcuda.context import CudaContext
 from repro.simcuda.costs import CostModel, DEFAULT_COSTS
 from repro.simcuda.device import SimGPU
-from repro.simcuda.driver import DriverAPI
 from repro.simcuda.kernels import KernelRegistry, builtin_registry
 from repro.simcuda.nvml import NvmlSampler
 from repro.core.api_server import ApiServer
@@ -63,8 +62,7 @@ class GpuServer:
         self.metrics = metrics
         self.tracer = tracer
         self.devices = [SimGPU(env, i, costs=costs) for i in range(config.num_gpus)]
-        self.driver = DriverAPI(env, self.devices, kernel_registry or builtin_registry(), costs)
-        self.driver.cuInit()
+        self.kernels = kernel_registry or builtin_registry()
         self.pools = HandlePools(env, costs)
         self.api_servers: list[ApiServer] = []
         sid = 0
@@ -124,7 +122,7 @@ class GpuServer:
         self.ready.succeed(len(self.api_servers))
 
     def _setup_slot(self, device: SimGPU) -> Generator:
-        ctx = yield from self.driver.cuCtxCreate(device.device_id)
+        ctx = yield from CudaContext.create(self.env, device, self.kernels)
         self._migration_slots[device.device_id] = ctx
         yield from self.pools.prefill(ctx, self.config.pool_handles_per_gpu)
 
@@ -167,7 +165,9 @@ class GpuServer:
             # restore migration slots this crash consumed
             lost, self._lost_slots = sorted(self._lost_slots), set()
             for device_id in lost:
-                ctx = yield from self.driver.cuCtxCreate(device_id)
+                ctx = yield from CudaContext.create(
+                    self.env, self.device(device_id), self.kernels
+                )
                 self._migration_slots[device_id] = ctx
             server.dead = False
             self.servers_restarted += 1
@@ -202,10 +202,10 @@ class GpuServer:
             if server.artifact_cache is not None:
                 server.artifact_cache.invalidate_all()
             server.release_handles(None, own=True)
-            self.driver.cuCtxDestroy(server.contexts[server.home_device_id])
+            server.contexts[server.home_device_id].destroy()
         for device_id, ctx in list(self._migration_slots.items()):
             if ctx is not None:
-                self.driver.cuCtxDestroy(ctx)
+                ctx.destroy()
                 self._migration_slots[device_id] = None
         for handle in self.pools.drain():
             self.device(handle.device_id).unreserve_bytes(handle.nbytes)

@@ -123,25 +123,15 @@ def run_migration(api_server, target_device_id: int, fixed_cost_factor: float,
 def _move_preserving_addresses(api_server, source_ctx, target_ctx) -> Generator:
     """DGSF: copy each allocation device-to-device into the *same* VA."""
     env: Environment = api_server.env
-    driver = api_server.gpu_server.driver
-    target_device_id = target_ctx.device.device_id
     moved_bytes = 0
     moved_allocs = 0
-    for va, size in sorted(api_server.session.allocations.items()):
-        old_mapping, _ = source_ctx.address_space.translate(va)
-        old_alloc = old_mapping.allocation
-        new_alloc = yield from driver.cuMemCreate(target_device_id, size)
+    for va, size in source_ctx.address_space.snapshot():
+        yield from target_ctx.malloc(size, va=va)
         # temporary-VA data move (modelled as the copy itself)
-        yield from driver.cuMemcpyDtoD(new_alloc, old_alloc, size)
+        yield from target_ctx.copy_peer(va, source_ctx, va)
         yield env.timeout(api_server.costs.migration_per_allocation_s)
-        got = driver.cuMemAddressReserve(target_ctx, size, fixed_addr=va)
-        assert got == va, "fixed-address reservation must preserve the VA"
-        driver.cuMemMap(target_ctx, got, new_alloc)
-        # release the source-side resources
-        driver.cuMemUnmap(source_ctx, va)
-        driver.cuMemAddressFree(source_ctx, va)
-        yield from driver.cuMemRelease(old_alloc)
+        yield from source_ctx.free(va)
         moved_bytes += size
         moved_allocs += 1
-    api_server.memory_device_id = target_device_id
+    api_server.memory_device_id = target_ctx.device.device_id
     return moved_bytes, moved_allocs

@@ -54,10 +54,11 @@ def checkpoint_restore_migration(api_server, target_device_id: int) -> Generator
 
     Data moves D2H on the source then H2D on the target (two PCIe
     crossings instead of one device-to-device copy), and the virtual
-    addresses are *not* preserved — the session's pointer table is
-    rewritten, which only works because our sessions track every
-    allocation (a real application with device pointers embedded in
-    device data structures would break, which is the paper's point).
+    addresses are *not* preserved — the allocations reappear at new
+    addresses in the target context's map, so every device pointer the
+    application holds goes stale (a real application with device pointers
+    embedded in device data structures would break, which is the paper's
+    point).
     Library-level snapshot bookkeeping (the train.Saver pass) doubles
     the fixed overhead.
     """
@@ -73,30 +74,19 @@ def checkpoint_restore_migration(api_server, target_device_id: int) -> Generator
 
 
 def _snapshot_restore(api_server, source_ctx, target_ctx) -> Generator:
-    driver = api_server.gpu_server.driver
-    session = api_server.session
-    target_device_id = target_ctx.device.device_id
     moved = 0
-    old_allocations = dict(session.allocations)
-    session.allocations.clear()
-    for va, size in sorted(old_allocations.items()):
+    for va, size in source_ctx.address_space.snapshot():
         mapping, _ = source_ctx.address_space.translate(va)
-        old_alloc = mapping.allocation
         # snapshot: D2H on the source...
         yield source_ctx.device.copy_d2h(size)
-        host_copy = old_alloc.read(0, old_alloc.payload_bytes)
-        driver.cuMemUnmap(source_ctx, va)
-        driver.cuMemAddressFree(source_ctx, va)
-        yield from driver.cuMemRelease(old_alloc)
+        host_copy = mapping.allocation.read(0, mapping.allocation.payload_bytes)
+        yield from source_ctx.free(va)
         # ...restore: fresh allocation at a NEW address on the target
-        new_alloc = yield from driver.cuMemCreate(target_device_id, size)
-        new_va = driver.cuMemAddressReserve(target_ctx, size)
-        driver.cuMemMap(target_ctx, new_va, new_alloc)
+        new_va = yield from target_ctx.malloc(size)
         yield target_ctx.device.copy_h2d(size)
-        new_alloc.write(0, host_copy)
-        session.allocations[new_va] = size
+        target_ctx.address_space.translate(new_va)[0].allocation.write(0, host_copy)
         moved += size
-    api_server.memory_device_id = target_device_id
+    api_server.memory_device_id = target_ctx.device.device_id
     return moved
 
 
@@ -133,7 +123,7 @@ def _leave_in_place(api_server, source_ctx, target_ctx) -> Generator:
     api_server.kernel_work_multiplier = PEER_ACCESS_PENALTY
     if False:
         yield
-    return sum(api_server.session.allocations.values())
+    return source_ctx.address_space.mapped_bytes()
 
 
 def _dgsf_strategy(api_server, target_device_id: int) -> Generator:

@@ -2,15 +2,17 @@
 
 A behavioural model of the NVIDIA software stack DGSF interposes:
 
-* :mod:`~repro.simcuda.context` — CUDA contexts: address space, streams,
-  events, per-context kernel function pointers, and the stream-ordered
-  copies and memsets that both the native session
+* :mod:`~repro.simcuda.context` — CUDA contexts: creation, the
+  device-memory lifecycle built from the CUDA 10.2 low-level calls
+  (``cuMemCreate`` / ``cuMemAddressReserve`` / ``cuMemMap`` and their
+  inverses) that DGSF's live migration is built on, address space,
+  streams, events, per-context kernel function pointers, and the
+  stream-ordered copies and memsets that both the native session
   (:class:`repro.core.deployment.NativeGpuSession`) and the DGSF API
   server execute,
-* :mod:`~repro.simcuda.driver` — the ``cuXxx`` driver API, including the
-  CUDA 10.2 low-level virtual-address-management functions
-  (``cuMemCreate`` / ``cuMemAddressReserve`` / ``cuMemMap``) that DGSF's
-  live migration is built on,
+* :mod:`~repro.simcuda.phys` and :mod:`~repro.simcuda.va` — the mechanism
+  under that lifecycle: physical allocations, and VA reservations and
+  mappings with fixed-address re-reservation,
 * :mod:`~repro.simcuda.libs` — cuDNN and cuBLAS, one handle-based library
   model with the paper's measured creation costs and footprints per kind,
 * :mod:`~repro.simcuda.device` — the GPU itself: memory accounting, a
@@ -37,7 +39,6 @@ from repro.simcuda.va import AddressSpace
 from repro.simcuda.context import CudaContext
 from repro.simcuda.stream import Stream, CudaEvent
 from repro.simcuda.kernels import KernelDef, KernelRegistry, builtin_registry
-from repro.simcuda.driver import DriverAPI
 from repro.simcuda.libs import (
     LIBRARY_KINDS,
     CudnnDescriptor,
@@ -65,7 +66,6 @@ __all__ = [
     "KernelDef",
     "KernelRegistry",
     "builtin_registry",
-    "DriverAPI",
     "LIBRARY_KINDS",
     "CudnnDescriptor",
     "LibraryHandle",

@@ -7,9 +7,20 @@ being context-local is a real CUDA property the paper leans on: after
 migrating to another GPU (hence another context) the API server must
 re-resolve every kernel handle (§V-B "Kernel launches").
 
-Context *creation* is expensive (3.2 s, ~303 MB — paper §V-C); the caller
-decides when to pay it: native applications pay on first CUDA call, DGSF
-API servers pre-create contexts off the critical path.
+The context also owns the device-memory lifecycle, built from the CUDA
+10.2 low-level calls DGSF's API server uses instead of ``cudaMalloc`` so
+that migration can rebuild the same virtual addresses on another GPU
+(§V-B "Memory management", §V-D): :meth:`~CudaContext.malloc` is
+``cuMemCreate`` + ``cuMemAddressReserve`` + ``cuMemMap``,
+:meth:`~CudaContext.free` is ``cuMemUnmap`` + ``cuMemAddressFree`` +
+``cuMemRelease``, :meth:`~CudaContext.copy_peer` is migration's
+``cuMemcpyPeer``, and :meth:`~CudaContext.destroy` is the process-exit
+teardown.  The address space's mappings are the one allocation table.
+
+Context *creation* (:meth:`~CudaContext.create`) is expensive (3.2 s,
+~303 MB — paper §V-C); the caller decides when to pay it: native
+applications pay on first CUDA call, DGSF API servers pre-create contexts
+off the critical path.
 """
 
 from __future__ import annotations
@@ -49,6 +60,53 @@ class CudaContext:
         self._name_by_fptr: dict[int, str] = {}
         self._next_fptr = (self.context_id << 24) | 0x10
         self.destroyed = False
+
+    @classmethod
+    def create(cls, env: Environment, device: SimGPU,
+               kernel_registry: KernelRegistry) -> Generator:
+        """``cuCtxCreate``: reserve the context footprint, wait the CUDA
+        initialization, return the context."""
+        device.reserve_bytes(device.costs.cuda_context_bytes)
+        yield env.timeout(device.costs.cuda_init_s)
+        return cls(env, device, kernel_registry)
+
+    # -- device memory ---------------------------------------------------------------
+    def malloc(self, size: int, va: Optional[int] = None) -> Generator:
+        """``cuMemCreate`` + ``cuMemAddressReserve`` + ``cuMemMap``: allocate
+        ``size`` bytes on this context's GPU and map them; returns the VA.
+
+        With ``va`` the range is reserved at that fixed address — how
+        migration recreates the source context's address map here.
+        """
+        yield self.env.timeout(self.device.costs.malloc_time(size))
+        allocation = self.device.alloc_phys(size)
+        va = self.address_space.reserve(size, fixed_addr=va)
+        self.address_space.map(va, allocation)
+        return va
+
+    def free(self, va: int) -> Generator:
+        """``cuMemUnmap`` + ``cuMemAddressFree`` + ``cuMemRelease`` of the
+        allocation mapped at ``va``; returns its size."""
+        try:
+            allocation = self.address_space.unmap(va)
+        except CudaError:
+            raise CudaError(
+                cudaError.cudaErrorInvalidValue, f"{va:#x} not allocated"
+            ) from None
+        self.address_space.free_reservation(va)
+        yield self.env.timeout(self.device.costs.free_s)
+        self.device.free_phys(allocation)
+        return allocation.size
+
+    def copy_peer(self, va: int, src_ctx: "CudaContext", src_va: int) -> Generator:
+        """``cuMemcpyPeer`` of a whole allocation: copy the one mapped at
+        ``src_va`` in another context (possibly on another GPU) into the
+        one mapped at ``va`` here, on this GPU's copy engine, and wait for
+        it — migration's data move, outside any stream."""
+        src = src_ctx.address_space.translate(src_va)[0].allocation
+        dst = self.address_space.translate(va)[0].allocation
+        yield self.device.copy_d2d(src.size)
+        dst.copy_payload_from(src)
 
     # -- kernel function pointers ------------------------------------------------
     def get_function(self, name: str) -> int:
@@ -211,8 +269,16 @@ class CudaContext:
 
     # -- teardown ----------------------------------------------------------------------
     def destroy(self) -> None:
-        """Release all context resources (allocations stay owner-managed)."""
+        """``cuCtxDestroy`` as process exit does it, in zero time: every
+        mapping, every reservation and the context footprint are freed."""
         self.destroyed = True
+        space = self.address_space
+        for mapping in space.mappings:
+            space.unmap(mapping.va)
+            self.device.free_phys(mapping.allocation)
+        for va in space.reservations:
+            space.free_reservation(va)
+        self.device.unreserve_bytes(self.device.costs.cuda_context_bytes)
         for stream in self.streams.values():
             stream.destroy()
 

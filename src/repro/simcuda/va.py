@@ -126,11 +126,6 @@ class AddressSpace:
             raise CudaError(CUresult.CUDA_ERROR_NOT_MAPPED, f"{va:#x} not mapped")
         return mapping.allocation
 
-    def remap(self, va: int, allocation: PhysicalAllocation) -> Mapping:
-        """Unmap + map in one step (migration's swap of physical backing)."""
-        self.unmap(va)
-        return self.map(va, allocation)
-
     # -- translation ----------------------------------------------------------------
     def translate(self, ptr: int) -> tuple[Mapping, int]:
         """Resolve a (possibly interior) device pointer to (mapping, offset).

@@ -33,10 +33,10 @@ crosses shards stitches into a *single* trace tree in the merged trace
 (:mod:`repro.obs.trace`).  A port with a tracer attached records an
 ``envelope:send`` span covering the flight (send → deliver) on the
 source group's track and an ``envelope:recv`` instant on the
-destination group's track, both joined to the propagated trace.  The v1
-(no-trace-context) wire form is still decoded — a coordinator can drain
-payloads produced before the bump — and the canonical injection order
-ignores the added field entirely.
+destination group's track, both joined to the propagated trace.  The
+canonical injection order ignores the added field entirely.  Envelopes
+never outlive one sharded run, whose workers run the same code, so only
+the current wire version decodes.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ __all__ = [
 ]
 
 #: wire-format version, first element of every encoded envelope; bumped on
-#: any incompatible layout change so a stale worker fails loudly.  v1 had
-#: no trace-context slot; v2 appends it.  Decoding accepts both.
+#: any incompatible layout change so a stale worker fails loudly.  v2
+#: added the trace-context slot.
 WIRE_VERSION = 2
 
 #: wire versions :func:`decode_envelope` accepts, mapped to tuple length
-_DECODABLE_VERSIONS = {1: 8, 2: 9}
+_DECODABLE_VERSIONS = {2: 9}
 
 
 def normalize_payload(payload: Any) -> Any:
@@ -128,11 +128,11 @@ def encode_envelope(env: Envelope) -> tuple:
 
 
 def decode_envelope(wire: tuple) -> Envelope:
-    """Plain tuple -> Envelope; accepts v1 (no trace context) and v2.
+    """Plain tuple -> Envelope (wire v2).
 
-    An unknown *future* version fails with an explicit version message —
-    a stale coordinator meeting a newer worker must not misparse — and a
-    malformed tuple fails with the generic wire-form error.
+    Any other version fails with an explicit version message — a
+    coordinator and worker that disagree on the codec must not misparse —
+    and a malformed tuple fails with the generic wire-form error.
     """
     if not isinstance(wire, tuple) or not wire or not isinstance(wire[0], int):
         raise ConfigurationError(f"bad envelope wire form: {wire!r}")
@@ -146,8 +146,7 @@ def decode_envelope(wire: tuple) -> Envelope:
         )
     if len(wire) != expected_len:
         raise ConfigurationError(f"bad envelope wire form: {wire!r}")
-    _, src, dst, channel, send_time, deliver_time, seq, payload = wire[:8]
-    trace_ctx = wire[8] if version >= 2 else None
+    _, src, dst, channel, send_time, deliver_time, seq, payload, trace_ctx = wire
     if trace_ctx is not None:
         trace_ctx = tuple(trace_ctx)
     return Envelope(src=src, dst=dst, channel=channel, send_time=send_time,

@@ -331,6 +331,16 @@ def test_committed_gates_match_their_producers():
         assert doc["gates"] == producer.GATES, name
         if hasattr(producer, "EXPERIMENT"):
             assert doc["experiment"] == producer.EXPERIMENT, name
+    # the files ``python -m repro.experiments NAME --out`` rewrites carry
+    # exactly the header it writes plus the module's sections, so a
+    # regenerated baseline differs from the committed one only in its rows
+    # (BENCH_shard.json keeps its older header until its scaleout
+    # re-record: verify.sh gates a --copies 0 smoke against it)
+    header = {"experiment", "seed", "copies", "python", "cpu_count",
+              "wall_seconds", "gates"}
+    for name in ("BENCH_ablation.json", "BENCH_sched.json", "BENCH_llm.json"):
+        doc = json.loads((root / name).read_text())
+        assert set(doc) == header | set(producers[name].GATES), name
 
 
 # --- shard_bench tracing section ---------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from repro.core import DgsfConfig, OptimizationFlags
 from repro.simcuda.errors import CudaError
 from repro.simcuda.types import MB
+from repro.simnet.rpc import RpcRequest
 from repro.testing import make_world
 
 
@@ -44,6 +45,20 @@ def test_malloc_memcpy_roundtrip_through_network(session):
     back = world.drive(guest.memcpyD2H(ptr, 4096))
     assert np.array_equal(back[:4096], data)
     world.drive(guest.cudaFree(ptr))
+
+
+def test_server_free_of_an_unmapped_address_is_invalid_value(session):
+    """The memory context's address map is the session's allocation table:
+    freeing an address it does not map, or an interior pointer, is
+    cudaErrorInvalidValue and leaves the allocation in place."""
+    world, guest, server = session
+    ptr = world.drive(guest.cudaMalloc(4096))
+    for bad in (0xBAD, ptr + 16):
+        with pytest.raises(CudaError, match="cudaErrorInvalidValue"):
+            world.drive(server.handle(RpcRequest(0, "cudaFree", (bad,))))
+    assert server.memory_context.address_space.snapshot() == [(ptr, 4096)]
+    world.drive(guest.cudaFree(ptr))
+    assert server.used_bytes == 0
 
 
 def test_malloc_respects_declared_limit(shared_world):

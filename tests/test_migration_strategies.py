@@ -34,12 +34,12 @@ def test_checkpoint_restore_moves_data_but_changes_addresses(world):
     ptr = world.drive(guest.cudaMalloc(256 * MB))
     world.drive(guest.memcpyH2D(ptr, 256 * MB,
                                 payload=np.arange(64, dtype=np.uint8)))
-    va_before = set(server.session.allocations)
+    va_before = {va for va, _ in server.memory_context.address_space.snapshot()}
     outcome = run(world, checkpoint_restore_migration(server, 1))
     assert outcome.moved_bytes == 256 * MB
     assert outcome.residual_source_bytes == 0
     # addresses are NOT preserved — the paper's generality argument
-    va_after = set(server.session.allocations)
+    va_after = {va for va, _ in server.memory_context.address_space.snapshot()}
     assert va_before != va_after
     # the data itself did survive the host round trip
     new_ptr = next(iter(va_after))

@@ -158,3 +158,50 @@ def test_d2h_and_memset_honor_their_stream_like_dgsf(native):
     world.detach_guest(guest, server, rpc)
     assert dgsf_result == (b"\xab" * 64, True, b"\x5a" * 64)
     assert native_result == dgsf_result
+
+
+def _read_past_the_window(gpu):
+    """Read 64 B from the middle of a 4 MB allocation, past its 1 MB
+    materialized payload window."""
+    ptr = yield from gpu.cudaMalloc(4 * MB)
+    data = yield from gpu.memcpyD2H(ptr + 2 * MB, 64)
+    yield from gpu.cudaFree(ptr)
+    return bytes(data)
+
+
+def test_d2h_past_the_payload_window_reads_what_dgsf_reads(native):
+    """Native and DGSF return the same bytes for a read outside the
+    materialized window: none, as the copy itself reports."""
+    from repro.core import DgsfConfig
+    from repro.testing import make_world
+
+    env, gpu, s = native
+    native_bytes = drive(env, _read_past_the_window(s))
+    world = make_world(DgsfConfig(num_gpus=1))
+    guest, server, rpc = world.attach_guest()
+    dgsf_bytes = world.drive(_read_past_the_window(guest))
+    world.detach_guest(guest, server, rpc)
+    assert native_bytes == dgsf_bytes == b""
+
+
+class _PhaseSink:
+    """The one FunctionContext method a GPU provider calls."""
+
+    def add_phase(self, name, seconds):
+        pass
+
+
+def test_pointer_attributes_report_the_device_the_session_sees():
+    """On a 2-GPU host the first lease runs on GPU 1, which the session
+    still sees as device 0: the attributes name a device cudaSetDevice
+    accepts."""
+    from repro.core.deployment import NativeGpuProvider
+
+    env = Environment()
+    provider = NativeGpuProvider(env, num_gpus=2)
+    s = drive(env, provider.acquire(_PhaseSink(), None)).gpu
+    assert s.device.device_id == 1
+    ptr = drive(env, s.cudaMalloc(4096))
+    attrs = drive(env, s.cudaPointerGetAttributes(ptr))
+    assert attrs.is_device and attrs.device_id == 0
+    drive(env, s.cudaSetDevice(attrs.device_id))

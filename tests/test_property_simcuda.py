@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment
-from repro.simcuda import SimGPU, CudaError
+from repro.simcuda import CostModel, CudaContext, SimGPU, CudaError, builtin_registry
 from repro.simcuda.phys import PhysicalAllocation
 from repro.simcuda.va import AddressSpace, VA_ALIGNMENT
 from repro.simnet.serialization import payload_size
@@ -77,6 +77,52 @@ def test_device_memory_accounting_balances(size_list):
     for alloc in live:
         gpu.free_phys(alloc)
     assert gpu.mem_used == 0
+
+
+#: (True, size) mallocs ``size`` bytes; (False, n) frees the n-th live VA
+lifecycle_steps = st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=1, max_value=1 << 22)),
+    min_size=1, max_size=16,
+)
+
+
+@given(lifecycle_steps)
+@settings(max_examples=30, deadline=None)
+def test_context_lifecycle_rebuilds_on_a_second_gpu(steps):
+    """Random malloc/free on one context, then every live VA rebuilt at
+    the same address on a second GPU: equal address maps and bytes, and
+    destroying both contexts returns both GPUs to zero."""
+    env = Environment()
+    costs = CostModel(payload_cap_bytes=4096)
+    gpus = [SimGPU(env, i, costs=costs) for i in range(2)]
+
+    def drive(gen):
+        return env.run(until=env.process(gen))
+
+    src, dst = (drive(CudaContext.create(env, gpu, builtin_registry())) for gpu in gpus)
+    live = []
+    for step, (is_malloc, n) in enumerate(steps):
+        if is_malloc:
+            va = drive(src.malloc(n))
+            src.address_space.translate(va)[0].allocation.write(
+                0, np.full(min(n, costs.payload_cap_bytes), step + 1, dtype=np.uint8))
+            live.append((va, n))
+        elif live:
+            va, size = live.pop(n % len(live))
+            assert drive(src.free(va)) == size
+    assert src.address_space.snapshot() == sorted(live)
+    for va, size in src.address_space.snapshot():
+        assert drive(dst.malloc(size, va=va)) == va
+        drive(dst.copy_peer(va, src, va))
+    assert dst.address_space.snapshot() == src.address_space.snapshot()
+    for va, size in src.address_space.snapshot():
+        assert np.array_equal(
+            dst.address_space.translate(va)[0].allocation.read(0, size),
+            src.address_space.translate(va)[0].allocation.read(0, size),
+        )
+    src.destroy()
+    dst.destroy()
+    assert gpus[0].mem_used == gpus[1].mem_used == 0
 
 
 @given(st.integers(min_value=1, max_value=1 << 20), st.integers(min_value=16, max_value=4096))

@@ -74,15 +74,6 @@ def test_envelope_rejects_unknown_wire_version():
         decode_envelope(wire)
 
 
-def test_envelope_v1_wire_still_decodes():
-    # an 8-field v1 tuple (no trace-context slot) from a pre-bump worker
-    v1 = (1, 3, 0, "hb", 1.5, 1.502, 7, {"k": [1, 2]})
-    env = decode_envelope(v1)
-    assert env.src == 3 and env.seq == 7
-    assert env.payload == {"k": [1, 2]}
-    assert env.trace_ctx is None
-
-
 def test_envelope_trace_ctx_rides_the_v2_wire():
     env = Envelope(src=1, dst=0, channel="report", send_time=1.5,
                    deliver_time=1.502, seq=3, payload=None,
@@ -100,9 +91,9 @@ def test_envelope_trace_ctx_rides_the_v2_wire():
 
 
 def test_envelope_wire_field_count_must_match_version():
-    with pytest.raises(ConfigurationError):
-        decode_envelope((1, 1, 0, "hb", 0.0, 0.1, 1, None, None))  # v1 w/ 9
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="unknown envelope wire version 1"):
+        decode_envelope((1, 1, 0, "hb", 0.0, 0.1, 1, None))        # v1 form
+    with pytest.raises(ConfigurationError, match="bad envelope wire form"):
         decode_envelope((2, 1, 0, "hb", 0.0, 0.1, 1, None))        # v2 w/ 8
 
 

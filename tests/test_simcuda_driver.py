@@ -1,10 +1,12 @@
-"""Unit tests for the driver API (low-level memory management)."""
+"""Unit tests for the driver-level memory lifecycle on :class:`CudaContext`
+(``cuCtxCreate``, ``cuMemCreate``/``cuMemAddressReserve``/``cuMemMap`` and
+their inverses, ``cuMemcpyPeer``)."""
 
 import numpy as np
 import pytest
 
 from repro.sim import Environment
-from repro.simcuda import DriverAPI, SimGPU, CudaError
+from repro.simcuda import CudaContext, SimGPU, builtin_registry
 from repro.simcuda.types import MB
 
 
@@ -12,9 +14,7 @@ from repro.simcuda.types import MB
 def setup():
     env = Environment()
     gpus = [SimGPU(env, i) for i in range(2)]
-    drv = DriverAPI(env, gpus)
-    drv.cuInit()
-    return env, gpus, drv
+    return env, gpus
 
 
 def drive(env, gen):
@@ -22,97 +22,64 @@ def drive(env, gen):
     return env.run(until=p)
 
 
-def test_requires_cuinit():
-    env = Environment()
-    drv = DriverAPI(env, [SimGPU(env, 0)])
-    with pytest.raises(CudaError, match="NOT_INITIALIZED"):
-        drv.cuDeviceGetCount()
-
-
-def test_device_count_and_properties(setup):
-    env, gpus, drv = setup
-    assert drv.cuDeviceGetCount() == 2
-    props = drv.cuDeviceGetProperties(1)
-    assert "V100" in props.name
-
-
-def test_no_devices_rejected():
-    env = Environment()
-    with pytest.raises(CudaError):
-        DriverAPI(env, [])
+def create(env, gpu):
+    return drive(env, CudaContext.create(env, gpu, builtin_registry()))
 
 
 def test_ctx_create_costs_init_time_and_memory(setup):
-    env, gpus, drv = setup
-    ctx = drive(env, drv.cuCtxCreate(0))
+    env, gpus = setup
+    ctx = create(env, gpus[0])
     assert env.now == pytest.approx(3.2)
     assert gpus[0].mem_used == 303 * MB
-    drv.cuCtxDestroy(ctx)
+    drive(env, ctx.malloc(4 * MB))
+    ctx.destroy()
     assert gpus[0].mem_used == 0
+    assert ctx.address_space.reservations == {}
 
 
 def test_mem_create_map_translate(setup):
-    env, gpus, drv = setup
-    ctx = drive(env, drv.cuCtxCreate(0))
-    alloc = drive(env, drv.cuMemCreate(0, 4 * MB))
-    va = drv.cuMemAddressReserve(ctx, 4 * MB)
-    drv.cuMemMap(ctx, va, alloc)
+    env, gpus = setup
+    ctx = create(env, gpus[0])
+    t0 = env.now
+    va = drive(env, ctx.malloc(4 * MB))
+    assert env.now - t0 == pytest.approx(gpus[0].costs.malloc_time(4 * MB))
     mapping, offset = ctx.address_space.translate(va + 5)
-    assert mapping.allocation is alloc and offset == 5
-
-
-def test_map_foreign_device_allocation_rejected(setup):
-    """CUDA cannot map GPU-1 memory into a GPU-0 context — the reason
-    migration must *copy* data."""
-    env, gpus, drv = setup
-    ctx0 = drive(env, drv.cuCtxCreate(0))
-    alloc1 = drive(env, drv.cuMemCreate(1, 1 * MB))
-    va = drv.cuMemAddressReserve(ctx0, 1 * MB)
-    with pytest.raises(CudaError, match="MAP_FAILED"):
-        drv.cuMemMap(ctx0, va, alloc1)
+    assert (mapping.va, mapping.size, offset) == (va, 4 * MB, 5)
+    assert mapping.allocation.device_id == 0
 
 
 def test_dtod_cross_gpu_copy_moves_payload(setup):
-    env, gpus, drv = setup
-    src = drive(env, drv.cuMemCreate(0, 1 * MB))
-    dst = drive(env, drv.cuMemCreate(1, 1 * MB))
-    src.write(0, np.arange(100, dtype=np.uint8))
-    drive(env, drv.cuMemcpyDtoD(dst, src, 1 * MB))
-    assert np.array_equal(dst.read(0, 100), np.arange(100, dtype=np.uint8))
-
-
-def test_dtod_copy_size_validated(setup):
-    env, gpus, drv = setup
-    src = drive(env, drv.cuMemCreate(0, 1 * MB))
-    dst = drive(env, drv.cuMemCreate(1, 1 * MB))
-    with pytest.raises(CudaError):
-        drive(env, drv.cuMemcpyDtoD(dst, src, 2 * MB))
+    env, gpus = setup
+    ctx0, ctx1 = create(env, gpus[0]), create(env, gpus[1])
+    src = drive(env, ctx0.malloc(1 * MB))
+    dst = drive(env, ctx1.malloc(1 * MB))
+    ctx0.address_space.translate(src)[0].allocation.write(
+        0, np.arange(100, dtype=np.uint8))
+    drive(env, ctx1.copy_peer(dst, ctx0, src))
+    moved = ctx1.address_space.translate(dst)[0].allocation
+    assert np.array_equal(moved.read(0, 100), np.arange(100, dtype=np.uint8))
 
 
 def test_mem_release_frees_device_memory(setup):
-    env, gpus, drv = setup
-    alloc = drive(env, drv.cuMemCreate(0, 8 * MB))
-    assert gpus[0].mem_used == 8 * MB
-    drive(env, drv.cuMemRelease(alloc))
-    assert gpus[0].mem_used == 0
+    env, gpus = setup
+    ctx = create(env, gpus[0])
+    va = drive(env, ctx.malloc(8 * MB))
+    assert gpus[0].mem_used == 303 * MB + 8 * MB
+    assert drive(env, ctx.free(va)) == 8 * MB
+    assert gpus[0].mem_used == 303 * MB
+    assert ctx.address_space.snapshot() == []
 
 
 def test_fixed_va_rebuild_across_contexts(setup):
     """Migration invariant: the destination context can reproduce the
     source context's address map exactly via fixed-address reservation."""
-    env, gpus, drv = setup
-    ctx0 = drive(env, drv.cuCtxCreate(0))
-    vas = []
+    env, gpus = setup
+    ctx0 = create(env, gpus[0])
     for size in (1 * MB, 2 * MB, 4 * MB):
-        alloc = drive(env, drv.cuMemCreate(0, size))
-        va = drv.cuMemAddressReserve(ctx0, size)
-        drv.cuMemMap(ctx0, va, alloc)
-        vas.append((va, size))
+        drive(env, ctx0.malloc(size))
 
-    ctx1 = drive(env, drv.cuCtxCreate(1))
-    for va, size in vas:
-        alloc = drive(env, drv.cuMemCreate(1, size))
-        got = drv.cuMemAddressReserve(ctx1, size, fixed_addr=va)
-        assert got == va
-        drv.cuMemMap(ctx1, got, alloc)
+    ctx1 = create(env, gpus[1])
+    for va, size in ctx0.address_space.snapshot():
+        assert drive(env, ctx1.malloc(size, va=va)) == va
     assert ctx1.address_space.snapshot() == ctx0.address_space.snapshot()
+    assert gpus[1].mem_used == gpus[0].mem_used

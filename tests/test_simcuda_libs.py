@@ -4,10 +4,11 @@ import pytest
 
 from repro.sim import Environment
 from repro.simcuda import (
+    CudaContext,
     CudaError,
-    DriverAPI,
     SimGPU,
     VendorLibrary,
+    builtin_registry,
 )
 from repro.simcuda.libs import DESCRIPTOR_KINDS
 from repro.simcuda.types import MB
@@ -17,9 +18,7 @@ from repro.simcuda.types import MB
 def setup():
     env = Environment()
     gpu = SimGPU(env, 0)
-    drv = DriverAPI(env, [gpu])
-    drv.cuInit()
-    p = env.process(drv.cuCtxCreate(0))
+    p = env.process(CudaContext.create(env, gpu, builtin_registry()))
     ctx = env.run(until=p)
     return env, gpu, ctx
 

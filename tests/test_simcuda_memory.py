@@ -175,21 +175,6 @@ def test_is_device_pointer():
     assert not space.is_device_pointer(va + VA_ALIGNMENT)
 
 
-def test_remap_swaps_backing():
-    """The core migration primitive: same VA, new physical memory."""
-    space = AddressSpace()
-    old = PhysicalAllocation(0, 4096, payload_cap=4096)
-    new = PhysicalAllocation(1, 4096, payload_cap=4096)
-    old.write(0, np.full(16, 3, np.uint8))
-    new.copy_payload_from(old)
-    va = space.reserve(4096)
-    space.map(va, old)
-    space.remap(va, new)
-    mapping, _ = space.translate(va)
-    assert mapping.allocation is new
-    assert np.all(mapping.allocation.read(0, 16) == 3)
-
-
 def test_snapshot_lists_mappings():
     space = AddressSpace()
     sizes = [4096, 8192, 1024]
