@@ -58,6 +58,16 @@ PYTHONPATH=src python -m repro.experiments sched --seed 3 --copies 4 \
 echo "== perf-regression gate (bench_compare) =="
 python scripts/bench_compare.py BENCH_sched.json "$SCHED_OUT"
 
+echo "== Fig. 4 ablation (experiments fig4) =="
+# The defaults are the committed BENCH_ablation.json's parameters
+# (copies=10): cumulative optimizations per workload, plus the warm
+# artifact-cache rows.
+ABLATION_OUT="${ABLATION_BENCH_OUT:-/tmp/dgsf-bench-ablation.json}"
+PYTHONPATH=src python -m repro.experiments fig4 --out "$ABLATION_OUT"
+
+echo "== ablation-bench regression gate (bench_compare) =="
+python scripts/bench_compare.py BENCH_ablation.json "$ABLATION_OUT"
+
 echo "== kernel event-throughput bench (bench_kernel, --quick) =="
 # The committed BENCH_kernel.json is the full 1M-event profile (manual
 # refresh, ~90s); the smoke runs the 100k --quick profile and gates only

@@ -565,8 +565,9 @@ class GuestLibrary:
             # "the guest library tracks the addresses returned by device
             # memory allocation functions" (§V-C)
             yield from self._local()
-            if ptr in self._device_allocs:
-                return PointerAttributes(True, 0, self._device_allocs[ptr])
+            size = self._device_alloc_size(ptr)
+            if size is not None:
+                return PointerAttributes(True, 0, size)
             if ptr in self._host_allocs:
                 return PointerAttributes(False, -1, self._host_allocs[ptr])
             raise CudaError(cudaError.cudaErrorInvalidValue, f"{ptr:#x}")
@@ -575,9 +576,21 @@ class GuestLibrary:
             yield from self._remote("pushCallConfiguration")
             return PointerAttributes(False, -1, self._host_allocs[ptr])
         yield from self._remote("pushCallConfiguration")
-        if ptr in self._device_allocs:
-            return PointerAttributes(True, 0, self._device_allocs[ptr])
+        size = self._device_alloc_size(ptr)
+        if size is not None:
+            return PointerAttributes(True, 0, size)
         raise CudaError(cudaError.cudaErrorInvalidValue, f"{ptr:#x}")
+
+    def _device_alloc_size(self, ptr: int) -> Optional[int]:
+        """Size of the device allocation containing ``ptr`` (an allocation
+        start or an interior pointer, as CUDA accepts), or None."""
+        size = self._device_allocs.get(ptr)
+        if size is not None:
+            return size
+        for va, size in self._device_allocs.items():
+            if va <= ptr < va + size:
+                return size
+        return None
 
     # --- kernels ---
     def cudaGetFunction(self, name: str) -> Generator:

@@ -223,6 +223,16 @@ class Store:
         self._trigger()
         return event
 
+    def put_nowait(self, item: Any) -> None:
+        """Add ``item`` with no put event, for a caller that never waits on
+        the put (a message delivery): the first waiting getter it matches
+        is woken exactly as :meth:`put` would wake it.  Raises
+        :class:`SimulationError` if the store is full."""
+        if len(self.items) >= self.capacity:
+            raise SimulationError("put_nowait on a full store")
+        self.items.append(item)
+        self._trigger()
+
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> Event:
         event = Event(self.env)
         self._getters.append((filter, event))

@@ -7,7 +7,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.sim.core import Environment, Event, Timeout
+from repro.sim.core import Environment, Event
 from repro.sim.resources import Store
 from repro.simnet.link import NIC, NetworkProfile
 from repro.simnet.serialization import payload_size, MESSAGE_HEADER_BYTES
@@ -82,18 +82,25 @@ class Endpoint:
     def env(self) -> Environment:
         return self.connection.network.env
 
-    def send(self, payload: Any, extra_bytes: int = 0) -> float:
+    def send(self, payload: Any, extra_bytes: int = 0, size: Optional[int] = None) -> float:
         """Transmit ``payload`` to the peer; returns the delivery time.
 
         ``extra_bytes`` lets callers charge for bulk data that rides along
         with the structured payload (e.g. a memcpy's buffer) without
-        materializing it.
+        materializing it.  ``size`` is the payload's encoded size when the
+        caller already knows it (RPC messages size themselves when built);
+        otherwise it is ``payload_size(payload)``.
+
+        Delivery is one event: a timeout that hands the payload to the
+        peer's inbox when it fires, waking the first receive it matches.
         """
         assert self._peer is not None
         network = self.connection.network
         profile = network.profile_for(self.local, self.remote)
         rng = network.rng
-        size = MESSAGE_HEADER_BYTES + payload_size(payload) + max(0, int(extra_bytes))
+        if size is None:
+            size = payload_size(payload)
+        size += MESSAGE_HEADER_BYTES + max(0, int(extra_bytes))
         factor = profile.sample_bandwidth_factor(rng)
         if factor <= 0:
             raise ConfigurationError("bandwidth factor must be positive")
@@ -126,8 +133,8 @@ class Endpoint:
             # Transmitted (wire time charged above) but lost in flight.
             return deliver_at
         peer_inbox = self._peer.inbox
-        delivery = Timeout(self.env, deliver_at - self.env.now)
-        delivery.callbacks.append(lambda _ev: peer_inbox.put(payload))
+        delivery = self.env.timeout(deliver_at - self.env.now)
+        delivery.callbacks.append(lambda _ev: peer_inbox.put_nowait(payload))
         return deliver_at
 
     def recv(self, filter: Optional[Callable[[Any], bool]] = None) -> Event:

@@ -61,13 +61,17 @@ class RpcRequest:
     oneway: bool = False
     #: sub-requests when this is a batch message
     batch: Optional[list["RpcRequest"]] = None
+    #: encoded size in bytes, excluding framing and ``extra_bytes``; fixed
+    #: when the request is built (a batch sums its sub-requests' sizes)
+    wire_size: int = field(init=False, repr=False, compare=False)
 
-    def wire_size(self) -> int:
+    def __post_init__(self) -> None:
         size = 16 + payload_size(self.method) + payload_size(self.args)
-        size += payload_size(self.kwargs) if self.kwargs else 0
+        if self.kwargs:
+            size += payload_size(self.kwargs)
         if self.batch:
-            size += sum(r.wire_size() for r in self.batch)
-        return size
+            size += sum(r.wire_size for r in self.batch)
+        self.wire_size = size
 
 
 @dataclass
@@ -77,9 +81,14 @@ class RpcReply:
     error: Optional[str] = None
     #: bulk payload bytes riding back (e.g. memcpy D2H buffer)
     extra_bytes: int = 0
+    #: encoded size in bytes, excluding framing and ``extra_bytes``
+    wire_size: int = field(init=False, repr=False, compare=False)
 
-    def wire_size(self) -> int:
-        return 16 + payload_size(self.value) + (payload_size(self.error) if self.error else 0)
+    def __post_init__(self) -> None:
+        size = 16 + payload_size(self.value)
+        if self.error:
+            size += payload_size(self.error)
+        self.wire_size = size
 
 
 class PendingReply:
@@ -214,7 +223,7 @@ class RpcClient:
         self.in_flight += 1
         if self.in_flight > self.max_in_flight:
             self.max_in_flight = self.in_flight
-        self.endpoint.send(request, extra_bytes=extra_bytes)
+        self.endpoint.send(request, extra_bytes=extra_bytes, size=request.wire_size)
         match = lambda m: isinstance(m, RpcReply) and m.msg_id == msg_id
         return PendingReply(self, msg_id, method, self.endpoint.recv(match))
 
@@ -267,7 +276,7 @@ class RpcClient:
             batch._trace = self.trace_ctx
         self.calls_sent += len(subs)
         self.messages_sent += 1
-        self.endpoint.send(batch, extra_bytes=batch.extra_bytes)
+        self.endpoint.send(batch, extra_bytes=batch.extra_bytes, size=batch.wire_size)
 
 
 class RpcServer:
@@ -349,15 +358,12 @@ class RpcServer:
             if self._killed:
                 return  # a crashed server sends nothing
             if not request.oneway:
-                self.endpoint.send(
-                    RpcReply(request.msg_id, error=str(exc), extra_bytes=reply_extra),
-                    extra_bytes=reply_extra,
-                )
+                self._reply(RpcReply(request.msg_id, error=str(exc), extra_bytes=reply_extra))
             return
         if self._killed:
             return
         if not request.oneway:
-            self.endpoint.send(
-                RpcReply(request.msg_id, value=value, extra_bytes=reply_extra),
-                extra_bytes=reply_extra,
-            )
+            self._reply(RpcReply(request.msg_id, value=value, extra_bytes=reply_extra))
+
+    def _reply(self, reply: RpcReply) -> None:
+        self.endpoint.send(reply, extra_bytes=reply.extra_bytes, size=reply.wire_size)

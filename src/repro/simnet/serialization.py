@@ -20,6 +20,9 @@ MESSAGE_HEADER_BYTES = 64
 
 _SCALAR_BYTES = 8
 _CONTAINER_OVERHEAD = 8  # length prefix
+#: size of each exact built-in scalar type, ``None`` included
+_FIXED_SIZES = {int: _SCALAR_BYTES, float: _SCALAR_BYTES, bool: _SCALAR_BYTES,
+                type(None): 1}
 
 
 def payload_size(value: Any) -> int:
@@ -28,9 +31,24 @@ def payload_size(value: Any) -> int:
     Numpy arrays count their buffer size; containers add a length prefix
     and sum their elements; scalars are fixed-width.  Unknown objects that
     declare ``wire_size`` (e.g. protocol messages) are asked directly.
+
+    The exact built-in types every remoted call carries (scalars, ``None``,
+    ASCII ``str``, tuples and lists) are matched by ``type`` first, and
+    scalars inside a tuple or list are summed in place rather than by a
+    recursive call; subclasses and every other value take the
+    ``isinstance`` chain.
     """
-    if value is None:
-        return 1
+    cls = type(value)
+    fixed = _FIXED_SIZES.get(cls)
+    if fixed is not None:
+        return fixed
+    if cls is str and value.isascii():
+        return _CONTAINER_OVERHEAD + len(value)
+    if cls is tuple or cls is list:
+        size = _CONTAINER_OVERHEAD
+        for item in value:
+            size += _FIXED_SIZES.get(type(item)) or payload_size(item)
+        return size
     if isinstance(value, (bool, int, float)):
         return _SCALAR_BYTES
     if isinstance(value, str):

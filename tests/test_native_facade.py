@@ -184,6 +184,32 @@ def test_d2h_past_the_payload_window_reads_what_dgsf_reads(native):
     assert native_bytes == dgsf_bytes == b""
 
 
+def _interior_pointer_attributes(gpu):
+    """Attributes of a pointer 16 B into a 4096 B allocation."""
+    ptr = yield from gpu.cudaMalloc(4096)
+    attrs = yield from gpu.cudaPointerGetAttributes(ptr + 16)
+    yield from gpu.cudaFree(ptr)
+    return (attrs.is_device, attrs.device_id, attrs.size)
+
+
+@pytest.mark.parametrize("avoid_unnecessary", [True, False])
+def test_interior_pointer_attributes_resolve_like_native(native, avoid_unnecessary):
+    """An interior device pointer resolves to its containing allocation on
+    both sessions, whether the guest answers locally or after its stand-in
+    round trip."""
+    from repro.core import DgsfConfig, OptimizationFlags
+    from repro.testing import make_world
+
+    env, gpu, s = native
+    native_attrs = drive(env, _interior_pointer_attributes(s))
+    world = make_world(DgsfConfig(num_gpus=1))
+    flags = OptimizationFlags(avoid_unnecessary=avoid_unnecessary)
+    guest, server, rpc = world.attach_guest(flags=flags)
+    dgsf_attrs = world.drive(_interior_pointer_attributes(guest))
+    world.detach_guest(guest, server, rpc)
+    assert native_attrs == dgsf_attrs == (True, 0, 4096)
+
+
 class _PhaseSink:
     """The one FunctionContext method a GPU provider calls."""
 

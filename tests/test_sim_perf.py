@@ -46,12 +46,26 @@ def test_run_until_deadline_uses_fast_path():
 
 
 def test_invocation_event_budget():
-    """Event-count ceiling for a standard invocation: pipelining/caching
-    layers must not silently multiply kernel events (13.5k at capture)."""
+    """Exact work counters of a standard invocation: a pipelining,
+    caching or delivery change that adds kernel events, messages or wire
+    bytes shows up here (each message costs one delivery event)."""
     dep = build_deployment("dgsf", DgsfConfig(num_gpus=1, seed=0))
+    connections = []
+    connect = dep.network.connect
+
+    def connect_counted(a, b):
+        conn = connect(a, b)
+        connections.append(conn)
+        return conn
+
+    dep.network.connect = connect_counted
     dep.setup()
     register_workloads(dep.platform, names=["face_identification"])
     inv, proc = dep.platform.invoke("face_identification")
     dep.env.run(until=proc)
     assert inv.status == "completed"
-    assert dep.env.events_processed <= 17_000
+    assert inv.e2e_s == 10.632098228949541
+    endpoints = [ep for conn in connections for ep in conn.endpoints]
+    assert sum(ep.messages_sent for ep in endpoints) == 1_791
+    assert sum(ep.bytes_out for ep in endpoints) == 279_744_357
+    assert dep.env.events_processed == 11_735

@@ -246,3 +246,34 @@ def test_store_capacity_blocks_put():
     env.process(consumer(env))
     env.run()
     assert ("b-in", 4) in log
+
+
+def test_store_put_nowait_wakes_the_first_matching_getter_without_an_event():
+    env = Environment()
+    store = Store(env)
+    got = []
+
+    def consumer(env, name, want):
+        item = yield store.get(lambda m: m[0] == want)
+        got.append((name, item, env.now))
+
+    for name, want in (("odd", 1), ("even", 0), ("even-2", 0)):
+        env.process(consumer(env, name, want))
+    env.run()
+    before = env.events_processed
+    store.put_nowait((0, "x"))
+    store.put_nowait((2, "y"))  # matches nobody: stays queued
+    env.run()
+    assert got == [("even", (0, "x"), 0)]
+    assert store.items == [(2, "y")]
+    # the get event and the consumer's exit; no put event
+    assert env.events_processed - before == 2
+
+
+def test_store_put_nowait_refuses_a_full_store():
+    env = Environment()
+    store = Store(env, capacity=1)
+    store.put_nowait("a")
+    with pytest.raises(SimulationError):
+        store.put_nowait("b")
+    assert store.items == ["a"]

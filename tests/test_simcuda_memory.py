@@ -1,5 +1,7 @@
 """Unit tests for physical allocations and virtual-address management."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,45 @@ def test_copy_payload_between_allocations():
     src.write(0, np.arange(256, dtype=np.uint8))
     dst.copy_payload_from(src)
     assert np.array_equal(dst.read(0, 256), np.arange(256, dtype=np.uint8))
+
+
+def test_untouched_allocation_holds_no_buffer_and_reads_zeros():
+    alloc = PhysicalAllocation(0, 1 << 20, payload_cap=4096)
+    assert alloc._data is None
+    back = alloc.read(100, 64)
+    assert back.dtype == np.uint8 and np.array_equal(back, np.zeros(64, np.uint8))
+    assert len(alloc.read(4000, 500)) == 96  # clipped to the window
+    assert alloc._data is None  # reading does not materialize
+
+
+def test_copy_from_untouched_source_zeroes_touched_destination():
+    src = PhysicalAllocation(0, 512, payload_cap=4096)
+    dst = PhysicalAllocation(1, 1024, payload_cap=4096)
+    dst.write(0, np.full(1024, 9, dtype=np.uint8))
+    dst.copy_payload_from(src)
+    assert np.count_nonzero(dst.read(0, 512)) == 0
+    assert np.all(dst.read(512, 512) == 9)  # outside the source's window
+    assert src._data is None
+
+
+def test_release_drops_the_buffer():
+    alloc = PhysicalAllocation(0, 256, payload_cap=4096)
+    alloc.write(0, np.ones(8, dtype=np.uint8))
+    alloc.release()
+    assert alloc._data is None
+    assert alloc.payload_bytes == 0
+
+
+def test_untouched_allocations_cost_no_host_memory():
+    tracemalloc.start()
+    try:
+        allocs = [PhysicalAllocation(0, 1 << 20, payload_cap=1 << 20)
+                  for _ in range(64)]
+        traced, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(allocs) == 64
+    assert traced < 1 << 20
 
 
 # --- AddressSpace ------------------------------------------------------------------
