@@ -68,6 +68,16 @@ PYTHONPATH=src python -m repro.experiments fig4 --out "$ABLATION_OUT"
 echo "== ablation-bench regression gate (bench_compare) =="
 python scripts/bench_compare.py BENCH_ablation.json "$ABLATION_OUT"
 
+echo "== §VIII-D sharing experiment (experiments sharing) =="
+# The defaults are the committed BENCH_sharing.json's parameters (seed 0,
+# copies 10): 14 simulations give Tables III-IV and Figs. 5-7.  The run
+# fails itself if any of the paper's sharing shape claims stops holding.
+SHARING_OUT="${SHARING_BENCH_OUT:-/tmp/dgsf-bench-sharing.json}"
+PYTHONPATH=src python -m repro.experiments sharing --out "$SHARING_OUT"
+
+echo "== sharing-bench regression gate (bench_compare) =="
+python scripts/bench_compare.py BENCH_sharing.json "$SHARING_OUT"
+
 echo "== kernel event-throughput bench (bench_kernel, --quick) =="
 # The committed BENCH_kernel.json is the full 1M-event profile (manual
 # refresh, ~90s); the smoke runs the 100k --quick profile and gates only

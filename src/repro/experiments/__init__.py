@@ -1,9 +1,11 @@
-"""Experiment reproductions: one module per table/figure of §VIII.
+"""Experiment reproductions of the paper's §VIII tables and figures.
 
-Each module exposes a ``run(...)`` returning plain dict/row structures
-(consumed by the benchmarks and by :mod:`repro.experiments.reporting`'s
-text renderers), so the benches can both print the paper-style output and
-assert the shape criteria from DESIGN.md.
+One module per table or figure, except :mod:`repro.experiments.sharing`,
+which simulates §VIII-D's sharing runs once and derives Tables III–IV
+and Figs. 5–7 from them.  Each module returns plain dict rows (consumed by
+the benchmarks, the CLI and :mod:`repro.experiments.reporting`'s text
+renderer); the ones that write a committed ``BENCH_*.json`` expose
+``sections(...)``.
 """
 
 from repro.experiments.runner import (
@@ -13,40 +15,31 @@ from repro.experiments.runner import (
 )
 from repro.experiments import (
     table2,
-    table3,
-    table4,
     table5,
     fig3,
     fig4,
-    fig5,
-    fig6,
-    fig7,
     fig8,
+    sharing,
     sched_ablation,
     critpath_ablation,
     shard_ablation,
     llm_ablation,
 )
-from repro.experiments.reporting import render_table, render_series
+from repro.experiments.reporting import render_table
 
 __all__ = [
     "run_single_invocation",
     "run_mixed_scenario",
     "MixedScenarioResult",
     "table2",
-    "table3",
-    "table4",
     "table5",
     "fig3",
     "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
     "fig8",
+    "sharing",
     "sched_ablation",
     "critpath_ablation",
     "shard_ablation",
     "llm_ablation",
     "render_table",
-    "render_series",
 ]

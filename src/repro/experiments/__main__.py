@@ -5,10 +5,10 @@ Usage::
     python -m repro.experiments table2
     python -m repro.experiments fig8
     python -m repro.experiments all          # everything (several minutes)
-    python -m repro.experiments table3 --copies 5 --seed 1
+    python -m repro.experiments sharing      # Tables III-IV, Figs. 5-7
     python -m repro.experiments sched --seed 3 --copies 4 --out BENCH_sched.json
 
-``fig4``, ``sched``, ``llm`` and ``shard`` write their committed
+``fig4``, ``sharing``, ``sched``, ``llm`` and ``shard`` write their committed
 ``BENCH_*.json`` baseline with ``--out``: a header (``experiment``,
 ``seed``, ``copies``, ``python``, ``cpu_count``, ``wall_seconds`` and the
 module's ``gates`` declaration) followed by the module's sections.
@@ -27,20 +27,21 @@ import time
 from pathlib import Path
 
 from repro.experiments import (
-    table2, table3, table4, table5, fig3, fig4, fig5, fig6, fig7, fig8,
+    table2, table5, fig3, fig4, fig8, sharing,
     sched_ablation, critpath_ablation, shard_ablation, llm_ablation,
-    render_table, render_series,
+    render_table,
 )
 
 EXPERIMENTS = [
-    "table2", "fig3", "fig4", "table3", "fig5", "table4", "fig6",
-    "fig7", "fig8", "table5", "sched", "critpath", "shard", "llm",
+    "table2", "fig3", "fig4", "sharing", "fig8", "table5", "sched",
+    "critpath", "shard", "llm",
 ]
 
 
 #: experiments whose sections make a committed ``BENCH_*.json`` (``--out``)
 BASELINES = {
     "fig4": (fig4, "Figure 4 — ablation (s)"),
+    "sharing": (sharing, "§VIII-D sharing — Tables III-IV, Figs. 5-7"),
     "sched": (sched_ablation,
               "Scheduler ablation — queue wait by size class (s)"),
     "llm": (llm_ablation,
@@ -95,28 +96,6 @@ def run_one(name: str, seed: int, copies: int, trace_dir: str = None,
         _print_rows("Table II — workload runtimes (s)", table2.run())
     elif name == "fig3":
         _print_rows("Figure 3 — phase breakdown (s)", fig3.run(seed=seed))
-    elif name == "table3":
-        _print_rows("Table III — heavy load (s)", table3.run(seed=seed, copies=copies))
-    elif name == "fig5":
-        _print_rows("Figure 5 — heavy-load delays (s)", fig5.run(seed=seed, copies=copies))
-    elif name == "table4":
-        _print_rows("Table IV — light load, 4 vs 3 GPUs (s)",
-                     table4.run(seed=seed, copies=copies))
-    elif name == "fig6":
-        _print_rows("Figure 6 — light-load delays (s)", fig6.run(seed=seed, copies=copies))
-    elif name == "fig7":
-        out = fig7.run(seed=seed, bursts=copies)
-        _print_rows("Figure 7 — burst utilization", out["summary"])
-        ns = out["series"]["no_sharing"]
-        sh = out["series"]["sharing2_best_fit"]
-        n = min(len(ns["t"]), len(sh["t"]))
-        print(render_series(
-            "Figure 7 — utilization moving average (%)",
-            ns["t"][:n],
-            {"no_sharing": ns["utilization_pct"][:n],
-             "sharing2": sh["utilization_pct"][:n]},
-        ))
-        print(f"utilization increase: {out['utilization_increase_pct']}% (paper: +16%)\n")
     elif name == "fig8":
         out = fig8.run(seed=seed, sample_utilization=False)
         _print_rows("Figure 8 — migration case study (s)", out["summary"])
@@ -140,8 +119,8 @@ def main(argv=None) -> None:
     parser.add_argument("experiment", choices=EXPERIMENTS + ["all"])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--copies", type=int, default=10,
-                        help="instances per workload (bursts for fig7, "
-                             "100k scaleout invocations for shard)")
+                        help="instances per workload (and bursts, for "
+                             "sharing; 100k scaleout invocations for shard)")
     parser.add_argument("--trace-dir", default=None,
                         help="export Chrome trace + critical-path/phase JSON "
                              "artifacts here (fig4 only)")

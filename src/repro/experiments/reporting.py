@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
-__all__ = ["render_table", "render_series", "pct_change"]
+__all__ = ["render_table", "pct_change"]
 
 
 def pct_change(value: float, baseline: float) -> str:
@@ -34,22 +34,4 @@ def render_table(title: str, rows: list[dict], columns: list[str] | None = None)
     for row in rows:
         lines.append("  ".join(_fmt(row.get(c, "")).ljust(widths[c]) for c in columns))
     lines.append(sep)
-    return "\n".join(lines)
-
-
-def render_series(title: str, xs: Iterable[float], series: dict[str, Iterable[float]],
-                  x_label: str = "t", max_points: int = 30) -> str:
-    """Render time series as a compact text table (for figure benches)."""
-    xs = list(xs)
-    stride = max(1, len(xs) // max_points)
-    lines = [title]
-    names = list(series.keys())
-    header = f"{x_label:>10s}  " + "  ".join(f"{n:>12s}" for n in names)
-    lines.append(header)
-    values = {n: list(v) for n, v in series.items()}
-    for i in range(0, len(xs), stride):
-        row = f"{xs[i]:10.2f}  " + "  ".join(
-            f"{values[n][i]:12.2f}" if i < len(values[n]) else " " * 12 for n in names
-        )
-        lines.append(row)
     return "\n".join(lines)

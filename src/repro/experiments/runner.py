@@ -47,14 +47,13 @@ WARM_CACHE_BYTES = 4 << 30
 def build_deployment(variant: str, config: Optional[DgsfConfig] = None):
     """Create (but do not set up) a deployment for one execution variant."""
     config = config or DgsfConfig(num_gpus=1)
-    if variant == "native":
-        return NativeDeployment(num_gpus=config.num_gpus, seed=config.seed,
-                                tracing_enabled=config.tracing_enabled,
-                                trace_max_spans=config.trace_max_spans)
-    if variant == "cpu":
-        return NativeDeployment(num_gpus=1, seed=config.seed,
-                                tracing_enabled=config.tracing_enabled,
-                                trace_max_spans=config.trace_max_spans)
+    if variant in ("native", "cpu"):
+        return NativeDeployment(
+            num_gpus=config.num_gpus if variant == "native" else 1,
+            seed=config.seed, tracing_enabled=config.tracing_enabled,
+            trace_max_spans=config.trace_max_spans,
+            trace_sample_rate=config.trace_sample_rate,
+        )
     if variant == "dgsf":
         return DgsfDeployment(config)
     if variant == "dgsf_unopt":

@@ -307,7 +307,8 @@ def test_real_committed_baselines_self_compare(tmp_path):
     """The committed baselines must be valid inputs to their own gate."""
     root = Path(__file__).resolve().parent.parent
     for name in ("BENCH_sched.json", "BENCH_ablation.json",
-                 "BENCH_kernel.json", "BENCH_shard.json", "BENCH_llm.json"):
+                 "BENCH_kernel.json", "BENCH_shard.json", "BENCH_llm.json",
+                 "BENCH_sharing.json"):
         path = root / name
         assert bench_compare.main([str(path), str(path)]) == 0
 
@@ -316,7 +317,7 @@ def test_committed_gates_match_their_producers():
     """Each committed file's declaration is the one its producer writes,
     so a regenerated baseline keeps the same gates."""
     from repro.experiments import (fig4, llm_ablation, sched_ablation,
-                                   shard_ablation)
+                                   shard_ablation, sharing)
 
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
@@ -325,7 +326,7 @@ def test_committed_gates_match_their_producers():
     spec.loader.exec_module(bench_kernel)
     producers = {"BENCH_ablation.json": fig4, "BENCH_sched.json": sched_ablation,
                  "BENCH_llm.json": llm_ablation, "BENCH_shard.json": shard_ablation,
-                 "BENCH_kernel.json": bench_kernel}
+                 "BENCH_kernel.json": bench_kernel, "BENCH_sharing.json": sharing}
     for name, producer in producers.items():
         doc = json.loads((root / name).read_text())
         assert doc["gates"] == producer.GATES, name
@@ -338,7 +339,8 @@ def test_committed_gates_match_their_producers():
     # re-record: verify.sh gates a --copies 0 smoke against it)
     header = {"experiment", "seed", "copies", "python", "cpu_count",
               "wall_seconds", "gates"}
-    for name in ("BENCH_ablation.json", "BENCH_sched.json", "BENCH_llm.json"):
+    for name in ("BENCH_ablation.json", "BENCH_sched.json", "BENCH_llm.json",
+                 "BENCH_sharing.json"):
         doc = json.loads((root / name).read_text())
         assert set(doc) == header | set(producers[name].GATES), name
 

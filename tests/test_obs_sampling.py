@@ -5,6 +5,8 @@ kept-trace set."""
 
 import pytest
 
+from repro.core.config import DgsfConfig
+from repro.experiments.runner import VARIANTS, build_deployment
 from repro.faas.topology import pool_collect, pool_scenario
 from repro.obs.metrics import _GAUGE_CAP, MetricsRegistry
 from repro.obs.sampling import (
@@ -138,6 +140,16 @@ def _emit(tracer):
     child.end()
     root.end(status="completed")
     return root.trace_id
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_variant_head_samples_at_the_configured_rate(variant):
+    """``trace_sample_rate`` reaches the tracer of native and CPU
+    deployments too, not only the DGSF ones."""
+    config = DgsfConfig(num_gpus=1, tracing_enabled=True,
+                        trace_sample_rate=0.2)
+    dep = build_deployment(variant, config)
+    assert dep.tracer.summary()["sampling"]["rate"] == 0.2
 
 
 def test_rate_one_sampler_exports_identical_timeline():
