@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import DgsfConfig
 from repro.experiments import render_table
-from repro.experiments.runner import make_plan, run_mixed_scenario
+from repro.experiments.runner import make_plan, run_scenario
 from repro.workloads import SMALLER_WORKLOAD_NAMES
 
 
@@ -30,7 +30,7 @@ def test_gpu_server_scale_out(once):
         ]
         for label, overrides in configs:
             cfg = DgsfConfig(seed=9, api_servers_per_gpu=1, **overrides)
-            result = run_mixed_scenario(cfg, plan)
+            result = run_scenario(cfg, plan).require_completed()
             results[label] = result.stats
             rows.append({
                 "config": label,

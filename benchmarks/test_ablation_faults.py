@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import DgsfConfig, FaultPlan
 from repro.experiments import render_table
-from repro.experiments.runner import make_plan, run_chaos_scenario
+from repro.experiments.runner import make_plan, run_scenario
 
 
 def chaos_plan(crash_prob: float) -> FaultPlan:
@@ -46,7 +46,7 @@ def run_level(crash_prob: float):
         rpc_retry_backoff_s=0.5,
     )
     plan = make_plan("exponential", seed=3, copies=2)
-    result = run_chaos_scenario(config, plan)
+    result = run_scenario(config, plan)
     out = result.outcomes
     return {
         "crash_prob": crash_prob,

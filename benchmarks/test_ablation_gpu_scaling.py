@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import DgsfConfig
 from repro.experiments import render_table
-from repro.experiments.runner import make_plan, run_mixed_scenario
+from repro.experiments.runner import make_plan, run_scenario
 from repro.workloads import SMALLER_WORKLOAD_NAMES
 
 
@@ -22,7 +22,7 @@ def test_gpu_count_sweep(once):
         rows = []
         for gpus in (1, 2, 4, 8):
             cfg = DgsfConfig(num_gpus=gpus, api_servers_per_gpu=1, seed=4)
-            result = run_mixed_scenario(cfg, plan)
+            result = run_scenario(cfg, plan).require_completed()
             mean_queue = sum(
                 ws.mean_queue_s * ws.count
                 for ws in result.stats.per_workload.values()

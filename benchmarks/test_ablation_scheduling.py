@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import DgsfConfig
 from repro.experiments import render_table
-from repro.experiments.runner import make_plan, run_mixed_scenario
+from repro.experiments.runner import make_plan, run_scenario
 
 
 def _mean_queue(stats):
@@ -22,7 +22,7 @@ def test_fcfs_vs_sff(once):
         for discipline in ("fcfs", "sff"):
             cfg = DgsfConfig(num_gpus=4, api_servers_per_gpu=2,
                              queue_discipline=discipline, seed=5)
-            result = run_mixed_scenario(cfg, plan)
+            result = run_scenario(cfg, plan).require_completed()
             per_discipline[discipline] = result.stats
             rows.append({
                 "discipline": discipline,

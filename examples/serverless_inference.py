@@ -11,7 +11,7 @@ Run:  python examples/serverless_inference.py
 """
 
 from repro.core import DgsfConfig
-from repro.experiments.runner import make_plan, run_mixed_scenario
+from repro.experiments.runner import make_plan, run_scenario
 from repro.experiments.reporting import render_table, pct_change
 
 
@@ -30,7 +30,8 @@ def main():
             policy="worst_fit",
             seed=7,
         )
-        result = run_mixed_scenario(config, plan, sample_utilization=True)
+        result = run_scenario(config, plan, sample_utilization=True)
+        result.require_completed()
         results[label] = result
         rows = [ws.as_row() for ws in result.stats.per_workload.values()]
         print(render_table(

@@ -40,7 +40,7 @@ from pathlib import Path
 from repro.core.config import DgsfConfig
 from repro.experiments.runner import (
     make_plan,
-    run_mixed_scenario,
+    run_scenario,
     run_single_invocation_traced,
 )
 from repro.obs import (
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
         config = DgsfConfig(num_gpus=2, seed=args.seed, tracing_enabled=True,
                             trace_sample_rate=args.sample_rate)
         plan = make_plan("exponential", seed=args.seed, copies=args.copies)
-        result = run_mixed_scenario(config, plan)
+        result = run_scenario(config, plan).require_completed()
         dep, invocations = result.deployment, result.invocations
     else:
         inv, dep = run_single_invocation_traced(

@@ -41,10 +41,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core.config import DgsfConfig  # noqa: E402
 from repro.faas.topology import (  # noqa: E402
     DEFAULT_LOOKAHEAD_S,
-    dgsf_collect,
-    dgsf_scenario,
+    plan_collect,
+    plan_scenario,
     pool_collect,
     pool_scenario,
 )
@@ -60,7 +61,11 @@ POOL_PARAMS = (0.05, 0.18, 4)
 POOL_HEARTBEAT_S = 10.0
 POOL_LOOKAHEAD_S = 5.0
 
-#: dgsf scenario shape: run_plan horizon must outlive every group's plan
+#: dgsf scenario shape: two GPUs per group, two copies of each of two
+#: workloads at exponential gaps; the horizon outlives every group's plan
+DGSF_CONFIG = DgsfConfig(num_gpus=2, tracing_enabled=True)
+DGSF_RECIPE = {"mode": "exponential", "names": ["kmeans", "face_identification"],
+               "copies": 2, "mean_gap_s": 2.0}
 DGSF_HORIZON_S = 4000.0
 
 
@@ -79,11 +84,11 @@ def run_traced(args) -> "ShardRunResult":  # noqa: F821 (doc only)
             trace_sample_rate=args.sample_rate,
         )
     return run_sharded(
-        dgsf_scenario,
+        plan_scenario,
         num_shards=args.shards, total_groups=args.groups,
         seed=args.seed, lookahead_s=DEFAULT_LOOKAHEAD_S,
-        scenario_args=(2, 2, 2.0, None, True),
-        collect=dgsf_collect, mode=args.mode,
+        scenario_args=(DGSF_CONFIG, DGSF_RECIPE),
+        collect=plan_collect, mode=args.mode,
         until=DGSF_HORIZON_S, tracing=True,
         trace_sample_rate=args.sample_rate,
     )

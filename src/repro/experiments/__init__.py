@@ -10,8 +10,8 @@ renderer); the ones that write a committed ``BENCH_*.json`` expose
 
 from repro.experiments.runner import (
     run_single_invocation,
-    run_mixed_scenario,
-    MixedScenarioResult,
+    run_scenario,
+    ScenarioResult,
 )
 from repro.experiments import (
     table2,
@@ -29,8 +29,8 @@ from repro.experiments.reporting import render_table
 
 __all__ = [
     "run_single_invocation",
-    "run_mixed_scenario",
-    "MixedScenarioResult",
+    "run_scenario",
+    "ScenarioResult",
     "table2",
     "table5",
     "fig3",

@@ -25,7 +25,7 @@ explain >= 95% of every root span's wall time.
 from __future__ import annotations
 
 from repro.core.config import DgsfConfig, OptimizationFlags
-from repro.experiments.runner import make_plan, run_mixed_scenario
+from repro.experiments.runner import make_plan, run_scenario
 from repro.obs import aggregate_critpaths, invocation_critpaths
 
 __all__ = ["run", "run_settings", "SETTINGS", "MIN_COVERAGE"]
@@ -79,7 +79,7 @@ def run_settings(seed: int = 0, copies: int = 2,
         gap = 8.0 if load == "light" else 0.2
         plan = make_plan("exponential", seed=seed, copies=copies,
                          names=_WORKLOADS, mean_gap_s=gap)
-        result = run_mixed_scenario(factory(seed), plan)
+        result = run_scenario(factory(seed), plan).require_completed()
         rows = invocation_critpaths(
             result.deployment.tracer, result.invocations
         )

@@ -25,15 +25,12 @@ the per-flow scheduler path like any other workload class.
 from __future__ import annotations
 
 from repro.core.config import DgsfConfig
-from repro.core.deployment import DgsfDeployment
 from repro.errors import SimulationError
-from repro.faas.workload_gen import burst_arrivals
+from repro.experiments.runner import make_plan, run_scenario
 from repro.obs.diff import attribution_from_tracer
 from repro.obs.metrics import percentile
-from repro.workloads.llm_workloads import register_llm_workloads
 
-__all__ = ["run", "run_llm_scenario", "sections", "SCENARIOS",
-           "EXPERIMENT", "GATES"]
+__all__ = ["run", "config", "sections", "SCENARIOS", "EXPERIMENT", "GATES"]
 
 #: ``BENCH_llm.json``: experiment id and its gates — the engine counters
 #: and the migration count are exact, latency percentiles banded, and
@@ -46,7 +43,11 @@ GATES = {"rows": {
     "ignore": [],
 }}
 
-#: scenario -> (workload, deployment shape)
+#: gap between the bursts of concurrent invocations (one per ``copies``)
+BURST_GAP_S = 3.0
+
+#: scenario -> (workload, deployment shape); a shape's ``copies`` and
+#: ``burst_gap_s`` override the plan's
 SCENARIOS = {
     "steady": ("llm_chat", dict(num_gpus=1)),
     "long_context": ("llm_chat_long", dict(num_gpus=1)),
@@ -63,34 +64,18 @@ SCENARIOS = {
 MODES = ("request", "continuous")
 
 
-def run_llm_scenario(workload: str, mode: str, seed: int = 0, copies: int = 2,
-                     burst_gap_s: float = 3.0, **config_kwargs):
-    """Run ``copies`` concurrent invocations of one LLM workload.
+def config(seed: int = 0, **overrides) -> DgsfConfig:
+    """The ablation's deployment: two API servers per GPU under ``mqfq``.
 
-    Returns ``(records, deployment)``; the batching mode reaches the
-    handler through invocation params (``llm_mode``).
+    Tracing is on: it is pure bookkeeping (no events, no RNG), so the
+    served timeline and every latency number are identical with it off,
+    and the spans feed each row's regression attribution.  The batching
+    mode reaches the handler through invocation params (``llm_mode``).
     """
-    config_kwargs.setdefault("num_gpus", 1)
-    # tracing is pure bookkeeping (no events, no RNG) — the served
-    # timeline and every latency number are identical with it on; the
-    # spans feed the per-row regression attribution below
-    config_kwargs.setdefault("tracing_enabled", True)
-    cfg = DgsfConfig(
-        api_servers_per_gpu=2, queue_discipline="mqfq", seed=seed,
-        **config_kwargs,
-    )
-    dep = DgsfDeployment(cfg)
-    dep.setup()
-    register_llm_workloads(dep.platform, names=[workload])
-    plan = burst_arrivals([workload], bursts=copies, burst_gap_s=burst_gap_s)
-    proc = dep.env.process(
-        dep.platform.run_plan(plan, llm_mode=mode), name="llm-scenario"
-    )
-    records = dep.env.run(until=proc)
-    # fold still-queued waits into the queue-wait metric (outcome=abandoned)
-    for server in dep.gpu_servers:
-        server.monitor.observe_pending_waits()
-    return records, dep
+    overrides.setdefault("num_gpus", 1)
+    overrides.setdefault("tracing_enabled", True)
+    return DgsfConfig(api_servers_per_gpu=2, queue_discipline="mqfq",
+                      seed=seed, **overrides)
 
 
 def _row(scenario: str, mode: str, records, dep) -> dict:
@@ -139,11 +124,15 @@ def run(seed: int = 0, copies: int = 2,
     rows = []
     for scenario in scenarios:
         workload, shape = SCENARIOS[scenario]
-        kwargs = dict(copies=copies)
-        kwargs.update(shape)  # scenario shape wins (cache_migration pins 2)
+        shape = dict(shape)
+        plan = make_plan("burst", seed, copies=shape.pop("copies", copies),
+                         names=[workload],
+                         burst_gap_s=shape.pop("burst_gap_s", BURST_GAP_S))
         for mode in MODES:
-            records, dep = run_llm_scenario(workload, mode, seed=seed, **kwargs)
-            rows.append(_row(scenario, mode, records, dep))
+            result = run_scenario(config(seed, **shape), plan,
+                                  llm_mode=mode).require_completed()
+            rows.append(_row(scenario, mode, result.invocations,
+                             result.deployment))
     return rows
 
 

@@ -1,8 +1,9 @@
-"""Shared experiment machinery: deployments, single runs, mixed scenarios."""
+"""Shared experiment machinery: deployments, single runs, plan-driven scenarios."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.core.audit import AuditReport, audit_deployment
@@ -14,15 +15,10 @@ from repro.core.stats import (
     summarize_invocations,
     summarize_outcomes,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.faas.platform import Invocation
-from repro.faas.workload_gen import (
-    ArrivalPlan,
-    burst_arrivals,
-    exponential_gap_arrivals,
-    interleave_workloads,
-    schedule_arrivals,
-)
+from repro.faas.topology import drive_plan
+from repro.faas.workload_gen import ArrivalPlan, draw_plan
 from repro.sim.rng import RngRegistry
 from repro.workloads import register_workloads, ALL_WORKLOAD_NAMES
 
@@ -30,10 +26,9 @@ __all__ = [
     "build_deployment",
     "run_single_invocation",
     "run_single_invocation_traced",
-    "run_mixed_scenario",
-    "run_chaos_scenario",
-    "MixedScenarioResult",
-    "ChaosScenarioResult",
+    "make_plan",
+    "run_scenario",
+    "ScenarioResult",
 ]
 
 VARIANTS = ("native", "dgsf", "dgsf_unopt", "dgsf_warm", "lambda", "cpu")
@@ -113,18 +108,6 @@ def _run_single(workload, variant, config):
     return inv, dep
 
 
-@dataclass
-class MixedScenarioResult:
-    """Outcome of a mixed-workload scenario run."""
-
-    config: DgsfConfig
-    invocations: list[Invocation]
-    stats: RunStats
-    deployment: DgsfDeployment
-    #: average NVML utilization per GPU (%; only when sampling was on)
-    avg_utilization: Optional[float] = None
-
-
 def make_plan(mode: str, seed: int, copies: int = 10,
               names: Optional[list[str]] = None,
               mean_gap_s: float = 2.0, burst_gap_s: float = 2.0) -> ArrivalPlan:
@@ -134,51 +117,30 @@ def make_plan(mode: str, seed: int, copies: int = 10,
     configuration under comparison — the paper's "random (but
     consistent) order".
     """
-    names = names or ALL_WORKLOAD_NAMES
-    rngs = RngRegistry(seed=seed)
-    if mode == "exponential":
-        sequence = interleave_workloads(names, copies, rngs.stream("interleave"))
-        return exponential_gap_arrivals(sequence, mean_gap_s, rngs.stream("gaps"))
-    if mode == "burst":
-        return burst_arrivals(names, bursts=copies, burst_gap_s=burst_gap_s)
-    raise ConfigurationError(f"unknown arrival mode {mode!r}")
+    return draw_plan(RngRegistry(seed=seed), mode, names or ALL_WORKLOAD_NAMES,
+                     copies=copies, mean_gap_s=mean_gap_s,
+                     burst_gap_s=burst_gap_s)
 
 
-def run_mixed_scenario(
-    config: DgsfConfig,
-    plan: ArrivalPlan,
-    sample_utilization: bool = False,
-) -> MixedScenarioResult:
-    """Run an arrival plan against one DGSF configuration."""
-    dep = DgsfDeployment(config)
-    dep.setup()
-    register_workloads(dep.platform, names=sorted(set(plan.names)))
-    if sample_utilization:
-        dep.gpu_server.nvml.start()
-    start = dep.env.now
-    proc = dep.env.process(dep.platform.run_plan(plan), name="scenario")
-    records = dep.env.run(until=proc)
-    if sample_utilization:
-        dep.gpu_server.nvml.stop()
-    stats = summarize_invocations(records)
-    avg_util = (
-        dep.gpu_server.nvml.average_utilization() if sample_utilization else None
-    )
-    return MixedScenarioResult(
-        config=config,
-        invocations=records,
-        stats=stats,
-        deployment=dep,
-        avg_utilization=avg_util,
-    )
+#: liveness backstop: a run stops waiting for its plan this long after
+#: the plan's last arrival, leaving any invocation still in flight
+#: non-terminal
+HORIZON_S = 3600.0
+#: idle window after the plan so pending recoveries finish before the
+#: end-state audit
+SETTLE_S = 30.0
 
 
 @dataclass
-class ChaosScenarioResult:
-    """Outcome of a fault-injected scenario run."""
+class ScenarioResult:
+    """Outcome of one plan-driven run (:func:`run_scenario`)."""
 
     config: DgsfConfig
+    #: every invocation in launch order; failures stay on their records
     invocations: list[Invocation]
+    #: the plan's entry count; fewer ``invocations`` means the horizon cut
+    #: the plan short
+    planned: int
     outcomes: OutcomeSummary
     audit: AuditReport
     deployment: DgsfDeployment
@@ -189,78 +151,99 @@ class ChaosScenarioResult:
     #: API servers successfully brought back up
     servers_restarted: int
     #: SLO alert transitions (firing/resolved) logged during the run
-    alerts: list = None
+    alerts: list
+    #: average NVML utilization per GPU (%; only when sampling was on)
+    avg_utilization: Optional[float] = None
+
+    @cached_property
+    def stats(self) -> RunStats:
+        """Latency statistics over the completed invocations."""
+        return summarize_invocations(self.invocations)
 
     @property
     def clean(self) -> bool:
-        """Every invocation terminal and every invariant holding."""
-        return self.outcomes.all_terminal and self.audit.ok
+        """Every planned invocation launched and terminal, and every
+        invariant holding."""
+        return (len(self.invocations) == self.planned
+                and self.outcomes.all_terminal and self.audit.ok)
+
+    def require_completed(self) -> "ScenarioResult":
+        """Return ``self`` if every planned invocation completed.
+
+        Otherwise raise the first failed invocation's own exception, or a
+        :class:`SimulationError` for one still in flight at the horizon or
+        never launched before it: a fault-free run whose invocation does
+        not complete is a bug.
+        """
+        for inv in self.invocations:
+            if inv.status == "completed":
+                continue
+            if isinstance(inv.result, Exception):
+                raise inv.result
+            raise SimulationError(
+                f"invocation {inv.invocation_id} ({inv.function_name}) "
+                f"ended {inv.status!r}"
+            )
+        if len(self.invocations) < self.planned:
+            raise SimulationError(
+                f"the horizon cut the plan short: {len(self.invocations)} "
+                f"of {self.planned} invocations launched"
+            )
+        return self
 
 
-def run_chaos_scenario(
+def run_scenario(
     config: DgsfConfig,
     plan: ArrivalPlan,
-    settle_s: float = 30.0,
-    horizon_s: float = 3600.0,
-) -> ChaosScenarioResult:
-    """Run an arrival plan under fault injection (``config.fault_plan``).
+    *,
+    sample_utilization: bool = False,
+    **invoke_params,
+) -> ScenarioResult:
+    """Run an arrival plan against one DGSF configuration.
 
-    Unlike :func:`run_mixed_scenario`, individual invocations are allowed
-    to fail — a crashed API server turns in-flight calls into function
-    failures, which here are data, not errors.  Every invocation process
-    gets a joiner that absorbs its exception so a failure neither crashes
-    the simulation nor aborts the run.
+    The deployment runs :func:`repro.faas.topology.drive_plan` — the same
+    scenario process every shard group runs — with the plan's times
+    absolute.  Invocations may fail (a crashed API server under
+    ``config.fault_plan`` turns in-flight calls into function failures);
+    failures are data on their records.  Callers that expect none chain
+    :meth:`ScenarioResult.require_completed`.
 
-    After the last invocation terminates (or ``horizon_s`` elapses — the
-    liveness backstop), the deployment idles for ``settle_s`` so pending
-    recoveries finish, then the invariant auditor inspects the end state.
+    After the plan's last invocation terminates (or :data:`HORIZON_S`
+    elapses past its last arrival), the deployment idles for
+    :data:`SETTLE_S` so pending recoveries finish; then the SLO engine
+    sweeps at the final clock, still-queued GPU waits are flushed into
+    the metrics, and the invariant auditor inspects the end state.
     """
     dep = DgsfDeployment(config)
-    dep.setup()
-    register_workloads(dep.platform, names=sorted(set(plan.names)))
     env = dep.env
-
-    def absorb(proc):
-        def joiner():
-            try:
-                yield proc
-            except Exception:
-                pass  # recorded on the Invocation; chaos runs expect failures
-
-        return env.process(joiner(), name=f"absorb-{proc.name}")
-
-    records: list[Invocation] = []
-
-    def driver():
-        joiners = []
-        arrivals = schedule_arrivals(env, plan)
-        for (t, name), arrival in zip(plan, arrivals):
-            if arrival is not None:
-                yield arrival
-            inv, proc = dep.platform.invoke(name)
-            records.append(inv)
-            joiners.append(absorb(proc))
-        yield env.all_of(joiners)
-
-    done = env.process(driver(), name="chaos-driver")
+    done = env.process(
+        drive_plan(dep, plan, sample_utilization=sample_utilization,
+                   **invoke_params),
+        name="scenario",
+    )
     # The monitor's health/stats loops run forever, so run-until-drained
-    # would never return; bound the run by the driver or the horizon.
-    env.run(until=env.any_of([done, env.timeout(horizon_s)]))
-    env.run(until=env.now + settle_s)
+    # would never return; bound the run by the plan or the horizon.
+    last_arrival = plan.entries[-1][0] if len(plan) else 0.0
+    env.run(until=env.any_of([done, env.timeout(last_arrival + HORIZON_S)]))
+    env.run(until=env.now + SETTLE_S)
     # final SLO sweep at the end-of-run clock so alerts that should have
     # cleared during the settle window resolve before we snapshot the log
     dep.slo.evaluate(env.now)
-
-    outcomes = summarize_outcomes(records)
-    audit = audit_deployment(dep, end_state=True, check_schedulable=True)
-    return ChaosScenarioResult(
+    for server in dep.gpu_servers:
+        # fold still-queued waits into the queue-wait metric (abandoned)
+        server.monitor.observe_pending_waits()
+    records = list(dep.platform.invocations)
+    return ScenarioResult(
         config=config,
         invocations=records,
-        outcomes=outcomes,
-        audit=audit,
+        planned=len(plan),
+        outcomes=summarize_outcomes(records),
+        audit=audit_deployment(dep, end_state=True, check_schedulable=True),
         deployment=dep,
         crashes_detected=sum(g.monitor.crashes_detected for g in dep.gpu_servers),
         requests_requeued=sum(g.monitor.requests_requeued for g in dep.gpu_servers),
         servers_restarted=sum(g.servers_restarted for g in dep.gpu_servers),
         alerts=list(dep.slo.alerts),
+        avg_utilization=(dep.gpu_server.nvml.average_utilization()
+                         if sample_utilization else None),
     )

@@ -3,8 +3,8 @@
 The paper's sharing results come from three arrival patterns over the
 §VIII workloads, each run with and without sharing (two API servers per
 GPU).  This module simulates each distinct configuration once — 14
-runs through :func:`run_mixed_scenario` — and derives every table row
-and figure value from them:
+runs through :func:`~repro.experiments.runner.run_scenario` — and derives
+every table row and figure value from them:
 
 * **heavy load** (Table III, Fig. 5): "functions at intervals drawn from
   an exponential distribution with rate equal to 2", i.e. mean gap 2 s,
@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.core.config import DgsfConfig
 from repro.errors import SimulationError
-from repro.experiments.runner import make_plan, run_mixed_scenario
+from repro.experiments.runner import make_plan, run_scenario
 from repro.simcuda.nvml import moving_average
 from repro.workloads import ALL_WORKLOAD_NAMES, SMALLER_WORKLOAD_NAMES
 
@@ -84,8 +84,8 @@ def _simulate(plan, seed: int, num_gpus: int, label: str,
     servers, policy = CONFIGS[label]
     config = DgsfConfig(num_gpus=num_gpus, seed=seed,
                         api_servers_per_gpu=servers, policy=policy)
-    return run_mixed_scenario(config, plan,
-                              sample_utilization=sample_utilization)
+    return run_scenario(config, plan, sample_utilization=sample_utilization
+                        ).require_completed()
 
 
 def _totals(config: str, **runs) -> dict:

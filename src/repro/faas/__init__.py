@@ -27,8 +27,8 @@ from repro.faas.workload_gen import (
     ArrivalPlan,
 )
 from repro.faas.topology import (
-    dgsf_collect,
-    dgsf_scenario,
+    plan_collect,
+    plan_scenario,
     pool_collect,
     pool_metrics_collect,
     pool_scenario,
@@ -50,8 +50,8 @@ __all__ = [
     "uniform_arrivals",
     "interleave_workloads",
     "ArrivalPlan",
-    "dgsf_collect",
-    "dgsf_scenario",
+    "plan_collect",
+    "plan_scenario",
     "pool_collect",
     "pool_metrics_collect",
     "pool_scenario",

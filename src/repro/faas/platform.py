@@ -283,22 +283,37 @@ class ServerlessPlatform:
     def run_plan(self, plan, **params) -> Generator:
         """Launch every entry of an :class:`ArrivalPlan`; wait for all.
 
-        Returns the invocation records in launch order.  The arrival
-        timeouts are pre-created in one kernel batch
+        Returns the invocation records in launch order.  An invocation
+        that fails is data, not an error: its exception stays on its
+        record (``status`` and ``result``) and the plan runs on.  The
+        arrival timeouts are pre-created in one kernel batch
         (:func:`repro.faas.workload_gen.schedule_arrivals`) instead of one
         ``timeout()`` call per entry; an already-fired arrival (same-time
         burst entries) is yielded and resumes immediately.
         """
         records = []
-        procs = []
+        done = Event(self.env)
+        left = len(plan)
+
+        def landed(proc):
+            # a failure is data on the invocation's record, not a crash
+            nonlocal left
+            if not proc.ok and isinstance(proc.value, Exception):
+                proc.defuse()
+            left -= 1
+            if not left:
+                done.succeed()
+
+        if not left:
+            done.succeed()
         arrivals = schedule_arrivals(self.env, plan)
         for (t, name), arrival in zip(plan, arrivals):
             if arrival is not None:
                 yield arrival
             inv, proc = self.invoke(name, **params)
             records.append(inv)
-            procs.append(proc)
-        yield self.env.all_of(procs)
+            proc.callbacks.append(landed)
+        yield done
         return records
 
     # -- internals -------------------------------------------------------------------

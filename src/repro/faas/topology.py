@@ -13,10 +13,12 @@ pickle it by reference:
   — exactly what sharding is meant to scale.  An optional heartbeat
   stream to group 0 (the manager's home) exercises the cross-shard
   envelope path and epoch barriers.
-* :func:`dgsf_scenario` — the full-stack variant: one
-  :class:`~repro.core.deployment.DgsfDeployment` per group sharing the
-  shard's environment, brought up concurrently from t=0 and driven by
-  per-group arrival plans that start at a fixed absolute time.  Used by
+* :func:`plan_scenario` — the full-stack variant: one
+  :class:`~repro.core.deployment.DgsfDeployment` of a given
+  :class:`~repro.core.config.DgsfConfig` per group sharing the shard's
+  environment, each running :func:`drive_plan` — the scenario process
+  that :func:`repro.experiments.runner.run_scenario` runs inline — on a
+  per-group arrival plan that starts at a fixed absolute time.  Used by
   the shard-count-invariance tests and ``scripts/shard_report.py``.
 
 Invariance rules every scenario here obeys (and new ones must):
@@ -33,21 +35,21 @@ Invariance rules every scenario here obeys (and new ones must):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Generator, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.faas.workload_gen import ArrivalPlan, draw_plan
 from repro.sim.resources import Resource
 
 __all__ = [
     "pool_scenario",
     "pool_collect",
     "pool_metrics_collect",
-    "dgsf_scenario",
-    "dgsf_collect",
-    "llm_shard_scenario",
-    "llm_shard_collect",
+    "drive_plan",
+    "plan_scenario",
+    "plan_collect",
     "DEFAULT_LOOKAHEAD_S",
     "DGSF_PLAN_START_S",
 ]
@@ -57,7 +59,7 @@ __all__ = [
 DEFAULT_LOOKAHEAD_S = 2e-3
 
 #: absolute sim time at which every group's arrival plan starts in
-#: :func:`dgsf_scenario` — far past any group's bring-up, so plan timing
+#: :func:`plan_scenario` — far past any group's bring-up, so plan timing
 #: never depends on which groups share a shard
 DGSF_PLAN_START_S = 60.0
 
@@ -202,71 +204,60 @@ def pool_metrics_collect(ctx) -> list:
     return registry.snapshot()
 
 
+
+
 # ---------------------------------------------------------------------------
-# full-stack scenario: one DgsfDeployment per group
+# full-stack scenario: one DgsfDeployment per group, driven by an arrival plan
 # ---------------------------------------------------------------------------
 
-def _dgsf_group_driver(ctx, group_id, deployment, ready_events, plan):
-    from repro.sim.core import AllOf
-    from repro.workloads import register_workloads
+def drive_plan(deployment, plan, sample_utilization: bool = False,
+               **invoke_params) -> Generator:
+    """The one scenario process: every plan-driven run executes this.
 
-    env = ctx.env
-    yield AllOf(env, ready_events)
+    Brings ``deployment`` up (:meth:`~repro.core.deployment.DgsfDeployment.
+    start_servers`, then ``finish_setup`` once every server is ready),
+    registers the plan's paper and LLM functions, starts NVML sampling
+    when asked, and launches each plan entry ``(t, name)`` at the absolute
+    time ``t`` with ``invoke_params``.  Entries due before bring-up ends
+    launch as soon as it does.  Returns the invocation records in launch
+    order; a failed invocation stays on its record
+    (:meth:`~repro.faas.platform.ServerlessPlatform.run_plan`).
+    """
+    from repro.workloads import register_llm_workloads, register_workloads
+
+    env = deployment.env
+    yield env.all_of(deployment.start_servers())
     deployment.finish_setup()
-    register_workloads(deployment.platform, names=sorted(set(plan.names)))
-    if env.now > DGSF_PLAN_START_S:
-        raise ConfigurationError(
-            f"group {group_id} bring-up overran the plan anchor "
-            f"({env.now} > {DGSF_PLAN_START_S})"
-        )
-    yield env.timeout(DGSF_PLAN_START_S - env.now)
-    records = yield from deployment.platform.run_plan(plan)
-    ctx.state[group_id]["records"] = records
-    if group_id != 0 and ctx.lookahead_s != float("inf"):
-        # completion report to group 0 (the manager's home), carrying the
-        # last invocation's trace context — a control-plane hop that
-        # stitches a cross-shard leg onto the invocation's trace tree.
-        # Gated on a finite lookahead: with no cross-group links declared
-        # there is no wire to send it over (and the timeline must stay
-        # identical to the historical link-free runs).
-        trace_ctx = None
-        if ctx.tracer is not None and records:
-            span = records[-1]._span
-            if span is not None:
-                trace_ctx = (span.trace_id, span.span_id)
-        ctx.port(group_id).send(
-            0, "report",
-            {"group": group_id, "n": len(records)},
-            trace_ctx=trace_ctx,
-        )
+    names = sorted(set(plan.names))
+    register_workloads(deployment.platform, names=names)
+    register_llm_workloads(deployment.platform, names=names)
+    nvml = deployment.gpu_server.nvml
+    if sample_utilization:
+        nvml.start()
+    records = yield from deployment.platform.run_plan(plan, **invoke_params)
+    if sample_utilization:
+        nvml.stop()
+    return records
 
 
-def dgsf_scenario(ctx, copies=2, num_gpus=2, mean_gap_s=2.0,
-                  workload_names: Optional[list] = None,
-                  tracing_enabled: bool = False):
-    """One full DGSF deployment per group, co-resident on the shard's env.
+def plan_scenario(ctx, config, recipe: dict):
+    """One DGSF deployment of ``config`` per group, on the shard's env.
 
-    Bring-up runs concurrently from t=0 (see
-    :meth:`~repro.core.deployment.DgsfDeployment.start_servers`) and each
-    group's arrival plan is anchored at the absolute
-    :data:`DGSF_PLAN_START_S`, so a group's timeline is bit-identical no
+    Each group draws its own arrival plan with
+    :func:`~repro.faas.workload_gen.draw_plan` from ``ctx.group_rngs(g)``
+    (``recipe`` holds every argument but the registry, e.g.
+    ``{"mode": "burst", "names": ["llm_chat"], "copies": 2}``), shifts it
+    to start at the absolute :data:`DGSF_PLAN_START_S`, and runs
+    :func:`drive_plan` on it, so a group's timeline is bit-identical no
     matter which shard it landed on.  Monitor health loops tick forever —
     drive this scenario with ``run_sharded(..., until=<horizon>)``.
     """
-    from repro.core.config import DgsfConfig
     from repro.core.deployment import DgsfDeployment
-    from repro.faas.workload_gen import (
-        exponential_gap_arrivals,
-        interleave_workloads,
-    )
-    from repro.workloads import SMALLER_WORKLOAD_NAMES
 
-    names = workload_names or SMALLER_WORKLOAD_NAMES[:2]
     for g in ctx.groups:
         group_rngs = ctx.group_rngs(g)
         deployment = DgsfDeployment(
-            DgsfConfig(num_gpus=num_gpus, seed=ctx.seed,
-                       tracing_enabled=tracing_enabled),
+            config,
             env=ctx.env,
             rngs=group_rngs.fork("deployment"),
             # the shard tracer (when the run traces) so every deployment's
@@ -278,21 +269,47 @@ def dgsf_scenario(ctx, copies=2, num_gpus=2, mean_gap_s=2.0,
         )
         ctx.note_tracer(deployment.tracer)
         ctx.register_slo(g, deployment.slo)
-        ready_events = deployment.start_servers()
-        sequence = interleave_workloads(
-            names, copies, group_rngs.stream("interleave"))
-        plan = exponential_gap_arrivals(
-            sequence, mean_gap_s, group_rngs.stream("gaps"))
+        plan = ArrivalPlan(tuple((DGSF_PLAN_START_S + t, name)
+                                 for t, name in draw_plan(group_rngs, **recipe)))
         ctx.state[g] = {"deployment": deployment, "records": None}
-        ctx.env.process(
-            _dgsf_group_driver(ctx, g, deployment, ready_events, plan),
-            name=f"group-{g}",
+        ctx.env.process(_plan_group(ctx, g, deployment, plan),
+                        name=f"group-{g}")
+
+
+def _plan_group(ctx, group_id, deployment, plan):
+    records = yield from drive_plan(deployment, plan)
+    first = plan.entries[0][0]
+    if records[0].t_submit > first:
+        raise ConfigurationError(
+            f"group {group_id} bring-up overran the plan anchor "
+            f"(first launch at {records[0].t_submit} > {first})"
+        )
+    ctx.state[group_id]["records"] = records
+    if group_id != 0 and ctx.lookahead_s != float("inf"):
+        # completion report to group 0 (the manager's home), carrying the
+        # last invocation's trace context — a control-plane hop that
+        # stitches a cross-shard leg onto the invocation's trace tree.
+        # Gated on a finite lookahead: with no cross-group links declared
+        # there is no wire to send it over.
+        trace_ctx = None
+        if ctx.tracer is not None:
+            span = records[-1]._span
+            if span is not None:
+                trace_ctx = (span.trace_id, span.span_id)
+        ctx.port(group_id).send(
+            0, "report",
+            {"group": group_id, "n": len(records)},
+            trace_ctx=trace_ctx,
         )
 
 
-def dgsf_collect(ctx) -> dict:
-    """Per-group outcome census + latency aggregates (rounded)."""
+def plan_collect(ctx) -> dict:
+    """Per-group outcome census, latency aggregates and invocation
+    timeline (rounded); groups serving LLM functions add their token
+    census and per-stream emission CRCs, so the merged digest pins the
+    whole token timeline too."""
     from repro.core.stats import summarize_outcomes
+    from repro.workloads import LLM_WORKLOADS
 
     rows = {}
     for g in ctx.groups:
@@ -301,96 +318,22 @@ def dgsf_collect(ctx) -> dict:
             raise ConfigurationError(
                 f"group {g} plan did not finish before the horizon"
             )
-        summary = summarize_outcomes(records)
         e2es = [inv.e2e_s for inv in records if inv.status == "completed"]
-        rows[g] = {
-            "outcomes": summary.as_dict(),
+        row = {
+            "outcomes": summarize_outcomes(records).as_dict(),
             "n": len(records),
             "p50_e2e_s": round(float(np.percentile(e2es, 50)), 6) if e2es else None,
             "p95_e2e_s": round(float(np.percentile(e2es, 95)), 6) if e2es else None,
+            "timeline": [[inv.function_name, inv.status,
+                          round(inv.t_submit, 9), round(inv.t_end, 9)]
+                         for inv in records],
         }
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# LLM serving scenario: one chat-serving deployment per group
-# ---------------------------------------------------------------------------
-
-def _llm_group_driver(ctx, group_id, deployment, ready_events, plan, llm_mode):
-    from repro.sim.core import AllOf
-    from repro.workloads import register_llm_workloads
-
-    env = ctx.env
-    yield AllOf(env, ready_events)
-    deployment.finish_setup()
-    register_llm_workloads(deployment.platform, names=sorted(set(plan.names)))
-    if env.now > DGSF_PLAN_START_S:
-        raise ConfigurationError(
-            f"group {group_id} bring-up overran the plan anchor "
-            f"({env.now} > {DGSF_PLAN_START_S})"
-        )
-    yield env.timeout(DGSF_PLAN_START_S - env.now)
-    records = yield from deployment.platform.run_plan(plan, llm_mode=llm_mode)
-    ctx.state[group_id]["records"] = records
-
-
-def llm_shard_scenario(ctx, copies=2, num_gpus=1, burst_gap_s=3.0,
-                       workload: str = "llm_chat",
-                       llm_mode: str = "continuous",
-                       tracing_enabled: bool = False):
-    """One chat-serving DGSF deployment per group (shard-safe).
-
-    Like :func:`dgsf_scenario` but the arrival plan is a burst plan
-    (deterministic without RNG) of one LLM workload, and the batching
-    mode is threaded through invocation params.  Chat traces come from
-    each workload's fixed ``trace_seed``, so per-token timelines — and
-    hence the merged digest — are bit-identical no matter which shard a
-    group lands on.  Drive with ``run_sharded(..., until=<horizon>)``.
-    """
-    from repro.core.config import DgsfConfig
-    from repro.core.deployment import DgsfDeployment
-    from repro.faas.workload_gen import burst_arrivals
-
-    for g in ctx.groups:
-        group_rngs = ctx.group_rngs(g)
-        deployment = DgsfDeployment(
-            DgsfConfig(num_gpus=num_gpus, api_servers_per_gpu=2,
-                       queue_discipline="mqfq", seed=ctx.seed,
-                       tracing_enabled=tracing_enabled),
-            env=ctx.env,
-            rngs=group_rngs.fork("deployment"),
-            tracer=ctx.tracer,
-            sample_scope=f"group{g}",
-        )
-        ctx.note_tracer(deployment.tracer)
-        ctx.register_slo(g, deployment.slo)
-        ready_events = deployment.start_servers()
-        plan = burst_arrivals([workload], bursts=copies, burst_gap_s=burst_gap_s)
-        ctx.state[g] = {"deployment": deployment, "records": None}
-        ctx.env.process(
-            _llm_group_driver(ctx, g, deployment, ready_events, plan, llm_mode),
-            name=f"group-{g}",
-        )
-
-
-def llm_shard_collect(ctx) -> dict:
-    """Per-group token/emission census: exact counts plus the per-stream
-    emission CRCs, so the merged digest pins the entire token timeline."""
-    rows = {}
-    for g in ctx.groups:
-        records = ctx.state[g]["records"]
-        if records is None:
-            raise ConfigurationError(
-                f"group {g} plan did not finish before the horizon"
-            )
-        completed = [inv for inv in records if inv.status == "completed"]
-        rows[g] = {
-            "n": len(records),
-            "completed": len(completed),
-            "n_tokens": sum(inv.result["n_tokens"] for inv in completed),
-            "n_iterations": sum(inv.result["n_iterations"] for inv in completed),
-            "emission_crcs": sorted(
-                inv.result["emission_crc"] for inv in completed
-            ),
-        }
+        served = [inv.result for inv in records
+                  if inv.status == "completed"
+                  and inv.function_name in LLM_WORKLOADS]
+        if served:
+            row["n_tokens"] = sum(r["n_tokens"] for r in served)
+            row["n_iterations"] = sum(r["n_iterations"] for r in served)
+            row["emission_crcs"] = sorted(r["emission_crc"] for r in served)
+        rows[g] = row
     return rows

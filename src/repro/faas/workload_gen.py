@@ -27,6 +27,7 @@ __all__ = [
     "burst_arrivals",
     "uniform_arrivals",
     "interleave_workloads",
+    "draw_plan",
     "schedule_arrivals",
 ]
 
@@ -115,3 +116,19 @@ def burst_arrivals(
         for name in workload_names:
             entries.append((t, name))
     return ArrivalPlan(tuple(entries))
+
+
+def draw_plan(rngs, mode: str, names: list[str], copies: int = 10,
+              mean_gap_s: float = 2.0, burst_gap_s: float = 2.0) -> ArrivalPlan:
+    """Arrival plans used across §VIII-D: exponential gaps or bursts.
+
+    ``rngs`` is a :class:`repro.sim.rng.RngRegistry`; an exponential plan
+    shuffles ``copies`` of each name with its ``interleave`` stream and
+    draws the gaps from its ``gaps`` stream, a burst plan draws nothing.
+    """
+    if mode == "exponential":
+        sequence = interleave_workloads(names, copies, rngs.stream("interleave"))
+        return exponential_gap_arrivals(sequence, mean_gap_s, rngs.stream("gaps"))
+    if mode == "burst":
+        return burst_arrivals(names, bursts=copies, burst_gap_s=burst_gap_s)
+    raise ConfigurationError(f"unknown arrival mode {mode!r}")

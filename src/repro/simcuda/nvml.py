@@ -67,11 +67,15 @@ class NvmlSampler:
         return self._proc
 
     def stop(self) -> None:
+        """End sampling: no sample is taken after this call."""
         self._stopped = True
 
     def _loop(self) -> Generator:
-        while not self._stopped:
+        while True:
             yield self.env.timeout(self.query_interval_s)
+            if self._stopped:
+                # the tick already pending at stop() takes no sample
+                return
             now = self.env.now
             start = max(0.0, now - self.sample_window_s)
             if now <= start:

@@ -6,7 +6,7 @@ import pytest
 from repro.core import DgsfConfig, FaultPlan
 from repro.core.deployment import DgsfDeployment, NativeDeployment
 from repro.core.stats import summarize_invocations
-from repro.experiments.runner import make_plan, run_chaos_scenario
+from repro.experiments.runner import make_plan, run_scenario
 from repro.faas import FunctionSpec
 from repro.simcuda.types import GB, MB
 
@@ -150,7 +150,7 @@ def test_summarize_invocations_counts_only_completed():
                                           crash_after_calls=(1, 20),
                                           max_crashes=2),
                      rpc_timeout_s=20.0, heartbeat_timeout_s=2.0)
-    invocations = run_chaos_scenario(
+    invocations = run_scenario(
         cfg, make_plan("exponential", seed=7, copies=2)).invocations
     completed = [inv for inv in invocations if inv.status == "completed"]
     assert 0 < len(completed) < len(invocations)

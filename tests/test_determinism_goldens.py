@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import DgsfConfig
-from repro.experiments.runner import run_mixed_scenario, run_single_invocation
+from repro.experiments.runner import run_scenario, run_single_invocation
 from repro.faas.workload_gen import exponential_gap_arrivals
 from repro.sim.rng import RngRegistry
 
@@ -148,7 +148,7 @@ def test_mixed_scenario_is_bit_identical():
         mean_gap_s=2.0,
         rng=RngRegistry(seed=7).stream("arrivals"),
     )
-    res = run_mixed_scenario(DgsfConfig(num_gpus=2, seed=7), plan)
+    res = run_scenario(DgsfConfig(num_gpus=2, seed=7), plan).require_completed()
     assert res.stats.provider_e2e_s == MIXED_PROVIDER_E2E
     assert res.stats.function_e2e_sum_s == MIXED_FUNCTION_E2E_SUM
 
@@ -160,7 +160,7 @@ def test_every_discipline_timeline_is_bit_identical():
     for discipline, (provider_e2e, fn_e2e_sum) in DISCIPLINE_GOLDENS.items():
         cfg = DgsfConfig(num_gpus=2, api_servers_per_gpu=2,
                          queue_discipline=discipline, seed=3)
-        res = run_mixed_scenario(cfg, plan)
+        res = run_scenario(cfg, plan).require_completed()
         assert res.stats.provider_e2e_s == provider_e2e, discipline
         assert res.stats.function_e2e_sum_s == fn_e2e_sum, discipline
 
@@ -183,9 +183,9 @@ def test_mixed_scenario_with_full_observability_is_bit_identical():
         mean_gap_s=2.0,
         rng=RngRegistry(seed=7).stream("arrivals"),
     )
-    res = run_mixed_scenario(
+    res = run_scenario(
         DgsfConfig(num_gpus=2, seed=7, tracing_enabled=True), plan
-    )
+    ).require_completed()
     assert res.stats.provider_e2e_s == MIXED_PROVIDER_E2E
     assert res.stats.function_e2e_sum_s == MIXED_FUNCTION_E2E_SUM
     # the SLO engine streamed the whole run without injecting sim events

@@ -133,13 +133,13 @@ def test_migration_without_free_slot_is_refused():
 
 def test_deterministic_across_runs():
     """Same seed → bit-identical mixed-scenario statistics."""
-    from repro.experiments.runner import make_plan, run_mixed_scenario
+    from repro.experiments.runner import make_plan, run_scenario
 
     def run():
         plan = make_plan("exponential", seed=11, copies=1,
                          names=["kmeans", "face_identification"])
         cfg = DgsfConfig(num_gpus=2, seed=11)
-        return run_mixed_scenario(cfg, plan).stats
+        return run_scenario(cfg, plan).require_completed().stats
 
     a, b = run(), run()
     assert a.provider_e2e_s == b.provider_e2e_s

@@ -17,7 +17,7 @@ from repro.core import (
     audit_gpu_server,
 )
 from repro.core.deployment import DgsfDeployment
-from repro.experiments.runner import make_plan, run_chaos_scenario
+from repro.experiments.runner import make_plan, run_scenario
 from repro.faas import FunctionSpec
 from repro.simcuda.types import GB
 from repro.simnet import LinkFaultInjector
@@ -217,7 +217,7 @@ def chaos_config(seed: int) -> DgsfConfig:
 @pytest.mark.parametrize("seed", [7, 11])
 def test_chaos_mixed_run_terminates_clean(seed):
     plan = make_plan("exponential", seed=seed, copies=2)
-    result = run_chaos_scenario(chaos_config(seed), plan)
+    result = run_scenario(chaos_config(seed), plan)
     assert result.outcomes.total == len(plan)
     assert result.outcomes.all_terminal, result.outcomes.counts
     result.audit.raise_if_failed()
@@ -230,7 +230,7 @@ def test_chaos_mixed_run_terminates_clean(seed):
 def test_chaos_run_is_deterministic():
     def fingerprint():
         plan = make_plan("exponential", seed=7, copies=2)
-        result = run_chaos_scenario(chaos_config(7), plan)
+        result = run_scenario(chaos_config(7), plan)
         return [
             (inv.function_name, inv.status, round(inv.t_end, 9))
             for inv in result.invocations

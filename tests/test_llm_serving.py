@@ -13,8 +13,9 @@ import pytest
 
 from repro.core import DgsfConfig
 from repro.errors import ConfigurationError
-from repro.experiments.llm_ablation import run_llm_scenario
-from repro.faas.topology import llm_shard_collect, llm_shard_scenario
+from repro.experiments import llm_ablation
+from repro.experiments.runner import make_plan, run_scenario
+from repro.faas.topology import plan_collect, plan_scenario
 from repro.sim.shard import run_sharded
 from repro.simcuda.errors import CudaError
 from repro.simcuda.types import GB, MB
@@ -29,8 +30,21 @@ ENGINE_KWARGS = dict(
     max_batch=4,
 )
 
-LLM_SHARD_ARGS = (2, 1, 3.0, "llm_chat", "continuous")  # copies, gpus, gap, wl, mode
+LLM_SHARD_CONFIG = llm_ablation.config(tracing_enabled=False)
+LLM_SHARD_RECIPE = {"mode": "burst", "names": ["llm_chat"], "copies": 2,
+                    "burst_gap_s": 3.0}
 LLM_HORIZON_S = 400.0
+
+
+def serve(workload, mode, seed=0, copies=2,
+          burst_gap_s=llm_ablation.BURST_GAP_S, **overrides):
+    """``copies`` bursts of one LLM workload through the ablation's
+    deployment; returns ``(records, deployment)``."""
+    plan = make_plan("burst", seed, copies=copies, names=[workload],
+                     burst_gap_s=burst_gap_s)
+    result = run_scenario(llm_ablation.config(seed, **overrides), plan,
+                          llm_mode=mode).require_completed()
+    return result.invocations, result.deployment
 
 
 def attach_llm_guest(world, declared=1 * GB):
@@ -116,7 +130,7 @@ def test_kv_pages_charge_and_release_through_monitor_ledger():
 
 
 def test_storm_scenario_denies_pages_and_preempts():
-    records, dep = run_llm_scenario("llm_chat_storm", "continuous", copies=2,
+    records, dep = serve("llm_chat_storm", "continuous", copies=2,
                                     burst_gap_s=0.15)
     assert all(rec.status == "completed" for rec in records)
     totals = {k: sum(rec.result[k] for rec in records)
@@ -131,7 +145,7 @@ def test_storm_scenario_denies_pages_and_preempts():
 
 
 def test_migration_moves_engine_under_cache_pressure():
-    records, dep = run_llm_scenario(
+    records, dep = serve(
         "llm_chat_long", "continuous", num_gpus=2, migration_enabled=True,
         policy="best_fit", copies=2, burst_gap_s=0.5,
     )
@@ -150,8 +164,8 @@ def _crc_census(records):
 
 
 def test_llm_serve_rerun_is_bit_identical():
-    first, _ = run_llm_scenario("llm_chat", "continuous")
-    second, _ = run_llm_scenario("llm_chat", "continuous")
+    first, _ = serve("llm_chat", "continuous")
+    second, _ = serve("llm_chat", "continuous")
     assert _crc_census(first) == _crc_census(second)
     assert ([round(rec.t_end, 9) for rec in first]
             == [round(rec.t_end, 9) for rec in second])
@@ -160,19 +174,19 @@ def test_llm_serve_rerun_is_bit_identical():
 def test_llm_token_counts_are_platform_seed_stable():
     # chat traces are drawn from the workload's fixed trace_seed, never
     # from the platform seed, so token counts cannot move with it
-    a, _ = run_llm_scenario("llm_chat", "continuous", seed=0)
-    b, _ = run_llm_scenario("llm_chat", "continuous", seed=1)
+    a, _ = serve("llm_chat", "continuous", seed=0)
+    b, _ = serve("llm_chat", "continuous", seed=1)
     assert (sorted(rec.result["n_tokens"] for rec in a)
             == sorted(rec.result["n_tokens"] for rec in b))
 
 
 # -- shard-layout invariance --------------------------------------------------
 
-def run_llm_sharded(num_shards, scenario_args=LLM_SHARD_ARGS, **kw):
+def run_llm_sharded(num_shards, config=LLM_SHARD_CONFIG, **kw):
     return run_sharded(
-        llm_shard_scenario, num_shards=num_shards, total_groups=2, seed=0,
-        scenario_args=scenario_args, collect=llm_shard_collect,
-        until=LLM_HORIZON_S, mode="inline", **kw,
+        plan_scenario, num_shards=num_shards, total_groups=2, seed=0,
+        scenario_args=(config, LLM_SHARD_RECIPE),
+        collect=plan_collect, until=LLM_HORIZON_S, mode="inline", **kw,
     )
 
 
@@ -182,7 +196,7 @@ def test_llm_outcome_invariant_across_shard_layouts():
     assert solo.merged == split.merged
     assert solo.merged_digest == split.merged_digest
     for row in solo.merged.values():
-        assert row["n"] == row["completed"] == 2
+        assert row["n"] == row["outcomes"]["counts"]["completed"] == 2
         assert row["n_tokens"] > 0
         assert len(row["emission_crcs"]) == 2
 
@@ -190,8 +204,7 @@ def test_llm_outcome_invariant_across_shard_layouts():
 def test_tracing_leaves_llm_outcome_unchanged_and_emits_token_instants():
     plain = run_llm_sharded(2)
     traced = run_llm_sharded(
-        2, scenario_args=LLM_SHARD_ARGS[:-1] + ("continuous", True),
-        tracing=True,
+        2, config=LLM_SHARD_CONFIG.with_(tracing_enabled=True), tracing=True,
     )
     assert traced.merged == plain.merged
     assert traced.merged_digest == plain.merged_digest

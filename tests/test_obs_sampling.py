@@ -322,11 +322,14 @@ def test_kept_set_identical_inline_vs_process():
 
 
 def test_eviction_storm_preemption_traces_survive_one_percent_rate():
-    from repro.experiments.llm_ablation import run_llm_scenario
+    from repro.experiments import llm_ablation
+    from repro.experiments.runner import make_plan, run_scenario
 
-    records, dep = run_llm_scenario(
-        "llm_chat_storm", "request", trace_sample_rate=0.01,
-    )
+    plan = make_plan("burst", 0, copies=2, names=["llm_chat_storm"],
+                     burst_gap_s=llm_ablation.BURST_GAP_S)
+    result = run_scenario(llm_ablation.config(trace_sample_rate=0.01), plan,
+                          llm_mode="request").require_completed()
+    records, dep = result.invocations, result.deployment
     assert sum(rec.result["n_preemptions"] for rec in records) > 0
     tracer = dep.tracer
     kept = set(tracer.by_trace())

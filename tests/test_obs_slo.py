@@ -5,7 +5,7 @@ behaviour required by the alerting acceptance criteria."""
 import pytest
 
 from repro.core import DgsfConfig, FaultPlan
-from repro.experiments.runner import make_plan, run_chaos_scenario
+from repro.experiments.runner import make_plan, run_scenario
 from repro.obs import MetricsRegistry, SloEngine
 from repro.obs.slo import (
     BurnRateRule,
@@ -207,7 +207,7 @@ def test_chaos_run_fires_and_clears_availability_burn():
         rpc_max_retries=2,
         rpc_retry_backoff_s=0.5,
     )
-    result = run_chaos_scenario(config, make_plan("exponential", seed=3, copies=2))
+    result = run_scenario(config, make_plan("exponential", seed=3, copies=2))
     assert result.crashes_detected > 0
     assert result.outcomes.counts.get("failed", 0) > 0
     burn = [e for e in result.alerts if e.rule == "availability-burn"]

@@ -82,14 +82,14 @@ def test_sff_reduces_mean_queueing_under_heavy_load():
     """The paper's hypothesis: SFF "could improve throughput at some loss
     of fairness".  Mean queueing should drop; the longest functions may
     wait longer (the fairness loss)."""
-    from repro.experiments.runner import make_plan, run_mixed_scenario
+    from repro.experiments.runner import make_plan, run_scenario
 
     plan = make_plan("exponential", seed=3, copies=4, mean_gap_s=1.5)
 
     def run(discipline):
         cfg = DgsfConfig(num_gpus=2, api_servers_per_gpu=2,
                          queue_discipline=discipline, seed=3)
-        return run_mixed_scenario(cfg, plan).stats
+        return run_scenario(cfg, plan).require_completed().stats
 
     fcfs = run("fcfs")
     sff = run("sff")

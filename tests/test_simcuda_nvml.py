@@ -23,6 +23,20 @@ def test_sampler_sees_busy_gpu():
     assert np.all(late < 1)
 
 
+def test_sampler_takes_no_sample_after_stop():
+    env = Environment()
+    gpu = SimGPU(env, 0)
+    sampler = NvmlSampler(env, [gpu], query_interval_s=0.2)
+    sampler.start()
+    gpu.launch(1.0)
+    env.run(until=0.5)  # samples at 0.2 and 0.4; the 0.6 tick is pending
+    sampler.stop()
+    taken = (list(sampler.times), list(sampler.samples[0]))
+    env.run(until=0.5 + 3 * sampler.query_interval_s)
+    assert (sampler.times, sampler.samples[0]) == taken
+    assert sampler.times == pytest.approx([0.2, 0.4])
+
+
 def test_sampler_partial_window():
     env = Environment()
     gpu = SimGPU(env, 0)
