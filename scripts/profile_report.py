@@ -86,11 +86,6 @@ def main(argv=None) -> int:
                         help="minimum fraction of each invocation's e2e time "
                              "that phase spans (and the critical path) must "
                              "attribute")
-    parser.add_argument("--sample-rate", type=float, default=1.0,
-                        help="head-sampling rate for traces (DgsfConfig."
-                             "trace_sample_rate); tail-keep rules still "
-                             "retain errored/alerting/latency-max traces, "
-                             "and validation runs over the kept set")
     parser.add_argument("--flame", nargs="?", const="", default="",
                         metavar="PATH",
                         help="folded flamegraph output path (default: "
@@ -103,23 +98,16 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.mixed:
-        config = DgsfConfig(num_gpus=2, seed=args.seed, tracing_enabled=True,
-                            trace_sample_rate=args.sample_rate)
+        config = DgsfConfig(num_gpus=2, seed=args.seed, tracing_enabled=True)
         plan = make_plan("exponential", seed=args.seed, copies=args.copies)
         result = run_scenario(config, plan).require_completed()
         dep, invocations = result.deployment, result.invocations
     else:
         inv, dep = run_single_invocation_traced(
             args.workload, args.variant,
-            DgsfConfig(num_gpus=1, seed=args.seed,
-                       trace_sample_rate=args.sample_rate),
+            DgsfConfig(num_gpus=1, seed=args.seed),
         )
         invocations = [inv]
-    if args.sample_rate < 1.0:
-        # sampled-out invocations have no spans; validate the kept set
-        kept = set(dep.tracer.by_trace())
-        invocations = [inv for inv in invocations
-                       if getattr(inv, "trace_id", None) in kept]
 
     trace_path = out_dir / "trace.json"
     dep.tracer.dump_chrome(trace_path)
@@ -174,14 +162,6 @@ def main(argv=None) -> int:
     if dep.tracer.dropped:
         print(f"WARNING: tracer dropped {dep.tracer.dropped} spans "
               f"(max_spans={dep.tracer.max_spans})", file=sys.stderr)
-    sampling = dep.tracer.summary().get("sampling")
-    if sampling is not None:
-        tail = sum(sampling["tail_kept"].values())
-        print(f"sampling:  rate={sampling['rate']} "
-              f"kept={sampling['head_kept'] + tail} "
-              f"(head={sampling['head_kept']}, tail={tail}) "
-              f"out={sampling['out_traces']}, "
-              f"{dep.tracer.sampled_out} span(s) sampled out")
 
     problems = _validate(rows, args.min_coverage) + crit["violations"]
     if problems:

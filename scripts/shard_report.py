@@ -81,7 +81,6 @@ def run_traced(args) -> "ShardRunResult":  # noqa: F821 (doc only)
             scenario_args=(per_group, gpus, gap_s, service_s,
                            POOL_HEARTBEAT_S, beats),
             collect=pool_collect, mode=args.mode, tracing=True,
-            trace_sample_rate=args.sample_rate,
         )
     return run_sharded(
         plan_scenario,
@@ -90,7 +89,6 @@ def run_traced(args) -> "ShardRunResult":  # noqa: F821 (doc only)
         scenario_args=(DGSF_CONFIG, DGSF_RECIPE),
         collect=plan_collect, mode=args.mode,
         until=DGSF_HORIZON_S, tracing=True,
-        trace_sample_rate=args.sample_rate,
     )
 
 
@@ -106,11 +104,6 @@ def main(argv=None) -> int:
                         default="process")
     parser.add_argument("--out-dir", default="flight_out")
     parser.add_argument("--min-coverage", type=float, default=0.95)
-    parser.add_argument("--sample-rate", type=float, default=1.0,
-                        help="head-sampling rate for per-shard tracers; "
-                             "keep/drop decisions propagate on envelopes "
-                             "and the coordinator resolves foreign spans "
-                             "against the merged kept set")
     parser.add_argument("--validate", metavar="DIR", default=None,
                         help="skip the run: validate an existing bundle "
                              "directory and exit")
@@ -144,12 +137,6 @@ def main(argv=None) -> int:
           f"digest {manifest['trace_digest']:#x}")
     print(f"outcome:  merged digest {manifest['merged_digest']:#x}, "
           f"{manifest['n_alerts']} SLO alert transition(s)")
-    if manifest.get("sampling") is not None:
-        s = manifest["sampling"]
-        print(f"sampling: rate={s['rate']} head_kept={s['head_kept']} "
-              f"tail_kept={sum(s['tail_kept'].values())} "
-              f"out={s['out_traces']} "
-              f"({manifest.get('sampled_out', 0)} span(s) sampled out)")
     sync = result.sync
     print(f"sync:     fast_forwards={sync['fast_forwards']}, "
           f"load_imbalance={sync['load_imbalance']:.3f}, "

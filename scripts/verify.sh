@@ -141,11 +141,3 @@ echo "== sharded flight-recorder smoke (shard_report) =="
 FLIGHT_OUT="${FLIGHT_OUT_DIR:-/tmp/dgsf-flight}"
 PYTHONPATH=src python scripts/shard_report.py --out-dir "$FLIGHT_OUT"
 PYTHONPATH=src python scripts/shard_report.py --validate "$FLIGHT_OUT"
-
-echo "== sampled flight-recorder smoke (shard_report --sample-rate) =="
-# Same traced run at a 20% head rate: keep/drop decisions ride the
-# cross-shard envelopes, the coordinator resolves foreign spans against
-# the merged kept set, and the bundle still validates end to end.
-PYTHONPATH=src python scripts/shard_report.py \
-    --out-dir "${FLIGHT_OUT}-sampled" --sample-rate 0.2
-PYTHONPATH=src python scripts/shard_report.py --validate "${FLIGHT_OUT}-sampled"

@@ -133,14 +133,6 @@ class DgsfConfig:
     #: bound on stored trace records; past it the tracer counts drops
     #: (never silently) instead of growing
     trace_max_spans: int = 250_000
-    #: head-sampling probability per invocation trace (1.0 = keep every
-    #: trace, today's behaviour).  Below 1.0 the deployment attaches a
-    #: :class:`repro.obs.sampling.TraceSampler`: roots are head-sampled
-    #: on a stable key hash and tail-keep rules still retain interesting
-    #: traces (errors/preemptions, SLO-alert overlap, per-window latency
-    #: maxima) — a deterministic, seed-stable representative trace set
-    #: for million-invocation runs
-    trace_sample_rate: float = 1.0
     #: deployment-wide cap on concurrently decoding sequences per LLM
     #: engine — ``llmConfigure`` clamps the guest's requested batch to it
     llm_max_decode_batch: int = 8
@@ -182,8 +174,6 @@ class DgsfConfig:
             raise ConfigurationError("async_max_in_flight must be positive")
         if self.trace_max_spans <= 0:
             raise ConfigurationError("trace_max_spans must be positive")
-        if not 0.0 <= self.trace_sample_rate <= 1.0:
-            raise ConfigurationError("trace_sample_rate must be in [0, 1]")
         if self.llm_max_decode_batch <= 0:
             raise ConfigurationError("llm_max_decode_batch must be positive")
 

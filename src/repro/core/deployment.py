@@ -41,7 +41,6 @@ from repro.core.faults import FaultDirector
 from repro.core.gpu_server import GpuServer
 from repro.core.guest import GuestLibrary, GuestGpuBundle, GuestRpcError
 from repro.obs import MetricsRegistry, SloEngine, Tracer
-from repro.obs.sampling import TraceSampler
 
 __all__ = [
     "NativeGpuSession",
@@ -489,7 +488,6 @@ class DgsfDeployment:
         env: Optional[Environment] = None,
         rngs: Optional[RngRegistry] = None,
         tracer: Optional[Tracer] = None,
-        sample_scope: str = "",
     ):
         self.config = config
         self.costs = costs
@@ -511,34 +509,11 @@ class DgsfDeployment:
         if tracer is not None:
             self.tracer: Optional[Tracer] = tracer
         else:
-            # A sub-1.0 sample rate attaches the head+tail sampler; at
-            # exactly 1.0 no sampler exists and the tracer behaves
-            # byte-for-byte as before (the rate-1.0 golden equality bar).
-            sampler = (
-                TraceSampler(config.trace_sample_rate)
-                if config.tracing_enabled and config.trace_sample_rate < 1.0
-                else None
-            )
             self.tracer = (
-                Tracer(self.env, max_spans=config.trace_max_spans,
-                       sampler=sampler)
+                Tracer(self.env, max_spans=config.trace_max_spans)
                 if config.tracing_enabled
                 else None
             )
-        #: stable sampling-key prefix for this deployment's invocations;
-        #: sharded topologies pass their group name so keys — and hence
-        #: the kept-trace set — are invariant to shard packing
-        self.sample_scope = sample_scope
-        if self.tracer is not None and self.tracer._sampler is not None:
-            # SLO alerts tail-keep the traces they overlap (scope-local)
-            def _keep_alert_traces(event, _tracer=self.tracer,
-                                   _scope=sample_scope):
-                _tracer.note_alert(
-                    event.t, scope=_scope,
-                    exemplar_trace_ids=tuple(
-                        event.details.get("exemplars", ())),
-                )
-            self.slo.on_alert(_keep_alert_traces)
         profile = network_profile or NetworkProfile(latency_s=1.2e-3)
         self.network = Network(
             self.env, default_profile=profile, rng=self.rngs.stream("network")
@@ -551,7 +526,6 @@ class DgsfDeployment:
         self.platform = ServerlessPlatform(self.env, self.fn_host, storage=self.storage)
         self.platform.metrics = self.metrics
         self.platform.tracer = self.tracer
-        self.platform.sample_scope = sample_scope
         # one or more disaggregated GPU servers behind the backend (§IV)
         self.backend = GpuBackend(policy=config.backend_policy)
         self.gpu_servers: list[GpuServer] = []
@@ -646,7 +620,6 @@ class NativeDeployment:
         env: Optional[Environment] = None,
         tracing_enabled: bool = False,
         trace_max_spans: int = 250_000,
-        trace_sample_rate: float = 1.0,
     ):
         self.env = env or Environment()
         self.costs = costs
@@ -654,10 +627,8 @@ class NativeDeployment:
         self.kernels = kernel_registry or builtin_registry()
         self.metrics = MetricsRegistry(clock=lambda: self.env.now)
         self.slo = SloEngine().attach(self.metrics)
-        sampler = (TraceSampler(trace_sample_rate)
-                   if tracing_enabled and trace_sample_rate < 1.0 else None)
         self.tracer: Optional[Tracer] = (
-            Tracer(self.env, max_spans=trace_max_spans, sampler=sampler)
+            Tracer(self.env, max_spans=trace_max_spans)
             if tracing_enabled else None
         )
         self.network = Network(self.env, rng=self.rngs.stream("network"))

@@ -47,7 +47,6 @@ def build_deployment(variant: str, config: Optional[DgsfConfig] = None):
             num_gpus=config.num_gpus if variant == "native" else 1,
             seed=config.seed, tracing_enabled=config.tracing_enabled,
             trace_max_spans=config.trace_max_spans,
-            trace_sample_rate=config.trace_sample_rate,
         )
     if variant == "dgsf":
         return DgsfDeployment(config)

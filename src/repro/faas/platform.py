@@ -36,8 +36,6 @@ __all__ = [
 class FunctionTimeLimitExceeded(ReproError):
     """The provider killed a function that exceeded its time limit."""
 
-_inv_ids = itertools.count(1)
-
 
 @dataclass
 class FunctionSpec:
@@ -207,6 +205,9 @@ class ServerlessPlatform:
         #: (FunctionContext) -> context-ish object with .gpu APIs + release
         self.gpu_provider = None
         self.invocations: list[Invocation] = []
+        #: invocation ids count per platform, so the ``inv-N`` names in a
+        #: trace do not depend on what else ran earlier in the process
+        self._inv_ids = itertools.count(1)
         #: optional repro.obs.Tracer — when set, every invocation gets a
         #: root span plus one child span per measured phase
         self.tracer = None
@@ -216,12 +217,6 @@ class ServerlessPlatform:
         #: invocations submitted but not yet finished (mirrors the
         #: ``invocation.active`` gauge when a registry is attached)
         self.active_invocations = 0
-        #: stable sampling-key prefix (the deployment's group name in
-        #: sharded topologies).  Head-sampling keys are built from
-        #: ``scope|workload|per-platform-arrival-seq`` — never from raw
-        #: trace ids, whose counter values shift with shard packing.
-        self.sample_scope = ""
-        self._sample_seq = 0
 
     # -- registry ---------------------------------------------------------------
     def register(self, spec: FunctionSpec) -> None:
@@ -247,7 +242,7 @@ class ServerlessPlatform:
         """Submit an invocation now; returns (record, completion event)."""
         spec = self.spec(name)
         invocation = Invocation(
-            invocation_id=next(_inv_ids),
+            invocation_id=next(self._inv_ids),
             function_name=name,
             t_submit=self.env.now,
         )
@@ -258,20 +253,12 @@ class ServerlessPlatform:
                 self.active_invocations, t=self.env.now
             )
         if self.tracer is not None:
-            trace_id = self.tracer.new_trace_id()
-            self._sample_seq += 1
-            self.tracer.sample_root(
-                trace_id,
-                key=f"{self.sample_scope}|{name}|{self._sample_seq}",
-                scope=self.sample_scope,
-                workload=name,
-            )
             invocation.bind_span(self.tracer.begin(
                 f"invocation:{name}",
                 cat="invocation",
                 pid="invocations",
                 tid=f"inv-{invocation.invocation_id}",
-                trace_id=trace_id,
+                trace_id=self.tracer.new_trace_id(),
                 workload=name,
                 invocation_id=invocation.invocation_id,
             ))

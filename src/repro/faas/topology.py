@@ -81,14 +81,9 @@ def _pool_invocation(env, gpu, service_s, index, stats, tracer=None, group=0):
     if tracer is not None:
         # one root span + queue/service children per invocation: enough
         # structure for critpath attribution and the bench tracing section
-        trace_id = tracer.new_trace_id()
-        # head-sample on (group, index): stable across shard layouts
-        tracer.sample_root(trace_id, key=f"group{group}|pool|{index}",
-                           scope=f"group{group}", workload="pool",
-                           t_start=t0)
         root = tracer.begin(
             "invocation", cat="invocation", pid=f"group{group}",
-            tid=f"inv-{index}", trace_id=trace_id,
+            tid=f"inv-{index}", trace_id=tracer.new_trace_id(),
             t_start=t0, invocation_id=index, group=group,
         )
         root.child_complete("gpu_queue", t0, t_acquired, cat="phase")
@@ -265,7 +260,6 @@ def plan_scenario(ctx, config, recipe: dict):
             # would stay behind in the worker — note_tracer() makes that
             # loss loud instead of silent
             tracer=ctx.tracer,
-            sample_scope=f"group{g}",
         )
         ctx.note_tracer(deployment.tracer)
         ctx.register_slo(g, deployment.slo)

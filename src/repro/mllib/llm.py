@@ -103,8 +103,8 @@ def make_chat_trace(
     """A deterministic chat-arrival trace.
 
     Seeded by the workload's fixed ``trace_seed`` — never by invocation
-    id, which is process-global and not seed-stable — so every invocation
-    of a workload replays the identical trace and token counts are
+    id, which depends on launch order — so every invocation of a
+    workload replays the identical trace and token counts are
     seed-stable (the determinism golden).  Prompt/output lengths are
     exponential with a floor; a ``long_context_frac`` fraction of prompts
     is replaced by ``long_prompt_tokens`` outliers.
@@ -252,13 +252,6 @@ class LlmSession:
             if ctr_tokens is not None:
                 ctr_tokens.inc(len(emissions))
         stats = yield from gpu.llmStats()
-        if (self.span is not None and stats.get("n_preemptions")
-                and getattr(self.span.tracer, "_sampler", None) is not None):
-            # tail-keep hook: kv_preempt is an "interesting" instant, so
-            # a sampled run always retains preemption-storm traces.  Only
-            # emitted under a sampler — unsampled trace digests (goldens,
-            # BENCH_shard) stay byte-identical to the pre-sampling export.
-            self.span.instant("kv_preempt", n=int(stats["n_preemptions"]))
         return {
             "n_requests": len(ordered),
             "n_tokens": self.tokens_emitted,

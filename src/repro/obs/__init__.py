@@ -2,8 +2,10 @@
 
 ``repro.obs`` is the substrate every layer of the stack reports into:
 
-* :mod:`repro.obs.trace` — a bounded sim-time span :class:`Tracer` with
-  Chrome trace-event JSON export (loadable in Perfetto / chrome://tracing).
+* :mod:`repro.obs.trace` — a sim-time span :class:`Tracer` that keeps
+  every trace until its ``max_spans`` budget and counts what it drops
+  past it, with Chrome trace-event JSON export (loadable in Perfetto /
+  chrome://tracing).
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of labeled
   counters, gauge time-series, and sim-time histograms, plus the
   :func:`~repro.obs.metrics.percentile` helper every report uses.
@@ -22,12 +24,6 @@
 * :mod:`repro.obs.flight` — flight-recorder bundles: one self-validating
   artifact directory per sharded run (merged trace, metrics, alerts,
   critpath, folded flame stacks, epoch telemetry, manifest).
-* :mod:`repro.obs.sampling` — deterministic head sampling (trace-key
-  hash vs ``DgsfConfig.trace_sample_rate``) plus tail-keep rules that
-  retain the interesting traces: errored/preempted roots, SLO-alert
-  exemplars and overlaps, and each window's latency maximum.  Decisions
-  propagate over the cross-shard wire so a trace is kept or dropped
-  whole, identically for every shard count.
 * :mod:`repro.obs.diff` — differential regression attribution: align
   two runs' tail-cohort critical-path attributions by workload x
   percentile x category and decompose a latency delta additively
@@ -67,9 +63,8 @@ from repro.obs.flight import (
     write_flight_bundle,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile
-from repro.obs.sampling import TraceSampler
 from repro.obs.slo import AlertEvent, SloEngine, default_rules, evaluate_cluster_slo
-from repro.obs.trace import NullSpan, Span, SpanRecord, Tracer, trace_digest
+from repro.obs.trace import Span, SpanRecord, Tracer, trace_digest
 
 __all__ = [
     "AlertEvent",
@@ -77,12 +72,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullSpan",
     "SloEngine",
     "Span",
     "SpanRecord",
     "Tracer",
-    "TraceSampler",
     "aggregate_critpaths",
     "attribution_from_bundle",
     "attribution_from_tracer",

@@ -136,11 +136,6 @@ def write_flight_bundle(result, out_dir,
         "n_span_records": len(tracer.records),
         "n_alerts": len(result.alerts),
         "files": list(_BUNDLE_FILES),
-        # sampling provenance: a bundle made at rate < 1.0 holds a
-        # *subset* of traces — diffing it against an unsampled bundle is
-        # valid for kept traces but the cohorts are smaller
-        "sampled_out": tracer.sampled_out,
-        "sampling": tracer.summary().get("sampling"),
     }
     _dump(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest

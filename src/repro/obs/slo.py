@@ -414,23 +414,12 @@ class SloEngine:
         #: rule name -> the AlertEvent currently firing
         self.active: dict[str, AlertEvent] = {}
         self._routes: dict[str, list[Rule]] = {}
-        #: callbacks invoked on every *firing* transition (resolved
-        #: transitions are log-only) — the deployment hooks the tracer's
-        #: sampler here so alert-overlapping traces are tail-kept
-        self._alert_hooks: list = []
         for rule in self.rules:
             for metric_name in rule.metrics:
                 self._routes.setdefault(metric_name, []).append(rule)
 
     def attach(self, registry: MetricsRegistry) -> "SloEngine":
         registry.subscribe(self._on_observation)
-        return self
-
-    def on_alert(self, hook) -> "SloEngine":
-        """Register ``hook(event)`` for firing transitions.  Hooks must be
-        pure bookkeeping (no events, no RNG), same contract as registry
-        subscribers."""
-        self._alert_hooks.append(hook)
         return self
 
     # -- streaming ---------------------------------------------------------------
@@ -457,8 +446,6 @@ class SloEngine:
                 self.active[rule.name] = event
                 self.alerts.append(event)
                 transitions.append(event)
-                for hook in self._alert_hooks:
-                    hook(event)
             elif details is None and firing is not None:
                 event = AlertEvent(
                     now, rule.name, rule.severity, "resolved",

@@ -8,10 +8,10 @@ request, and the monitor records GPU-queue waits and migrations.
 Point-in-time happenings (retries, crashes, batch flushes) are
 *instants*.
 
-The tracer is **bounded**: past ``max_spans`` records it stops storing
-and counts what it dropped — it never drops silently (``dropped`` is
-surfaced in :meth:`Tracer.summary` and in the exported JSON's
-``otherData``).
+The tracer keeps every record of every trace until it holds
+``max_spans`` records; past that bound it stores nothing more and counts
+what it dropped — it never drops silently (``dropped`` is surfaced in
+:meth:`Tracer.summary` and in the exported JSON's ``otherData``).
 
 Recording is pure bookkeeping over ``env.now`` — no events, no timeouts,
 no RNG — so tracing never perturbs the simulated timeline.
@@ -35,7 +35,10 @@ Perfetto process track.  :func:`trace_digest` is the canonical
 content digest: records are stably sorted by timeline position and ids
 renumbered by that order, so the digest is invariant to absolute
 counter values — a 1-shard sharded run digests identically to a plain
-single-process run of the same world.
+single-process run of the same world.  The ids that are *not*
+renumbered (invocation ids in ``inv-N`` track names and span args) are
+counted per :class:`~repro.faas.platform.ServerlessPlatform`, so a
+world's digest does not depend on what else ran earlier in the process.
 """
 
 from __future__ import annotations
@@ -46,9 +49,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs import sampling as _sampling
-
-__all__ = ["NullSpan", "Span", "SpanRecord", "Tracer", "trace_digest"]
+__all__ = ["Span", "SpanRecord", "Tracer", "trace_digest"]
 
 _span_ids = itertools.count(1)
 _trace_ids = itertools.count(1)
@@ -155,47 +156,6 @@ class Span:
         )
 
 
-class NullSpan:
-    """Span stand-in for a trace already *sampled out* (see
-    :mod:`repro.obs.sampling`).
-
-    Returned by :meth:`Tracer.begin` instead of a real :class:`Span` so
-    child spans of an unsampled root are rejected at ``begin()`` — no
-    Span allocation, no ``_open`` registration, no buffered record — yet
-    call sites keep working unchanged.  Nothing is lost silently: every
-    record the caller *would* have produced bumps the tracer's
-    ``sampled_out`` counter (distinct from ``dropped``, which means the
-    tracer ran out of span budget).
-    """
-
-    __slots__ = ("tracer", "trace_id", "span_id", "parent_id", "_ended")
-
-    def __init__(self, tracer, trace_id):
-        self.tracer = tracer
-        self.trace_id = trace_id
-        self.span_id = 0  # sentinel: never allocated, never a parent ref
-        self.parent_id = None
-        self._ended = False
-
-    def end(self, t_end=None, **args) -> None:
-        if self._ended:
-            return
-        self._ended = True
-        self.tracer.sampled_out += 1
-
-    def child(self, name, cat="span", **args) -> "NullSpan":
-        return NullSpan(self.tracer, self.trace_id)
-
-    def child_complete(self, name, t_start, t_end, cat="span", **args) -> None:
-        self.tracer.sampled_out += 1
-
-    def phase(self, name, seconds) -> None:
-        self.tracer.sampled_out += 1
-
-    def instant(self, name, **args) -> None:
-        self.tracer.sampled_out += 1
-
-
 class Tracer:
     """Bounded collector of spans across the whole deployment.
 
@@ -208,8 +168,7 @@ class Tracer:
     """
 
     def __init__(self, env, max_spans: int = 250_000,
-                 namespace: Optional[int] = None,
-                 sampler: Optional["_sampling.TraceSampler"] = None):
+                 namespace: Optional[int] = None):
         if max_spans <= 0:
             raise ValueError("max_spans must be positive")
         if namespace is not None and namespace < 0:
@@ -229,31 +188,10 @@ class Tracer:
         #: records discarded because the tracer was full — never silent:
         #: surfaced in summary() and the exported JSON
         self.dropped = 0
-        #: records discarded because their trace was sampled out — a
-        #: deliberate sampling decision, counted separately from the
-        #: budget-exhaustion ``dropped`` (satellite contract: no silent
-        #: loss, and the two causes are never conflated)
-        self.sampled_out = 0
         #: span_id -> Span handles begun but not yet ended.  Export closes
         #: them synthetically at ``env.now`` with an ``"open": true`` flag
         #: instead of dropping them from the JSON.
         self._open: dict[int, Span] = {}
-        #: optional head+tail sampling policy; None means keep everything
-        #: (the pre-sampling behaviour, byte-for-byte)
-        self._sampler = sampler
-        #: trace_id -> buffered records of a still-*pending* trace (head-
-        #: rejected, tail fate unknown).  Buffered records count against
-        #: ``max_spans`` so sampling never grows memory past the budget.
-        self._pending_buf: dict[int, list[SpanRecord]] = {}
-        self._pending_count = 0
-        #: merge-target only: (trace_id, record-tuple) pairs shipped by
-        #: shard snapshots for traces homed on *other* shards, resolved
-        #: against the merged kept set by :meth:`resolve_foreign`
-        self._foreign_stash: list[tuple] = []
-        #: per-shard sampler summaries folded in via merge_snapshot — a
-        #: merged tracer has no sampler of its own but still reports the
-        #: fleet's aggregate sampling stats
-        self._merged_sampling: list[dict] = []
 
     @property
     def now(self) -> float:
@@ -276,21 +214,11 @@ class Tracer:
               tid: str = "main", trace_id: Optional[int] = None,
               parent: Optional[Span] = None, t_start: Optional[float] = None,
               **args) -> Span:
-        """Open a span starting now (or at ``t_start``).
-
-        For a trace already sampled *out*, returns a :class:`NullSpan`
-        — the cheap rejection path: no allocation beyond the stub, no
-        ``_open`` bookkeeping, and every downstream record counts as
-        ``sampled_out``.
-        """
-        resolved_trace = (trace_id if trace_id is not None else
-                          (parent.trace_id if parent is not None else None))
-        if (self._sampler is not None
-                and self._sampler.state(resolved_trace) == _sampling.OUT):
-            return NullSpan(self, resolved_trace)
+        """Open a span starting now (or at ``t_start``)."""
         span = Span(
             self, name, cat, pid, tid,
-            trace_id=resolved_trace,
+            trace_id=trace_id if trace_id is not None else
+            (parent.trace_id if parent is not None else None),
             parent_id=parent.span_id if parent is not None else None,
             t_start=self.now if t_start is None else t_start,
             args=args,
@@ -334,120 +262,23 @@ class Tracer:
         ))
 
     def _record(self, record: SpanRecord) -> None:
-        sampler = self._sampler
-        if sampler is None:
-            if len(self.records) >= self.max_spans:
-                self.dropped += 1
-                return
-            self.records.append(record)
-            return
-        # A closing root invocation span is the sampler's tail-rule hook:
-        # non-completed status keeps the trace, and every root end advances
-        # latency-champion + retention bookkeeping (all in sim-time order,
-        # so decisions are deterministic and layout-invariant).
-        if (record.ph == "X" and record.cat == "invocation"
-                and record.trace_id is not None):
-            self._apply_resolutions(sampler.on_root_end(
-                record.trace_id, record.t_start, record.t_end,
-                str(record.args.get("status", "completed")),
-            ))
-        state = sampler.state(record.trace_id)
-        if state == _sampling.OUT:
-            self.sampled_out += 1
-            return
-        if len(self.records) + self._pending_count >= self.max_spans:
+        if len(self.records) >= self.max_spans:
             self.dropped += 1
             return
-        if state in (_sampling.PENDING, _sampling.FOREIGN_PENDING):
-            self._pending_buf.setdefault(record.trace_id, []).append(record)
-            self._pending_count += 1
-            if state == _sampling.PENDING:
-                # eager tail-keep on interesting names (preemption, crash
-                # requeue, RPC retry) — promotes the whole buffered trace
-                self._apply_resolutions(
-                    sampler.note_record(record.trace_id, record.name))
-            return
-        self.records.append(record)  # kept, or not subject to sampling
-
-    def _apply_resolutions(self, resolutions) -> None:
-        """Apply sampler verdicts: flush a kept trace's buffered records
-        into the store, or discard a sampled-out trace's buffer (counted,
-        never silent)."""
-        for trace_id, kept, _reason in resolutions:
-            buf = self._pending_buf.pop(trace_id, None)
-            if buf is None:
-                continue
-            self._pending_count -= len(buf)
-            if kept:
-                self.records.extend(buf)
-            else:
-                self.sampled_out += len(buf)
-
-    # -- sampling ---------------------------------------------------------------
-    def sample_root(self, trace_id: Optional[int], key=None, scope: str = "",
-                    workload: str = "", t_start: Optional[float] = None) -> bool:
-        """Head-sample a new root trace; True when head-kept.
-
-        Call once per root trace *before* opening its root span.  ``key``
-        must be stable across reruns and shard layouts (scope + workload
-        + per-platform arrival index); without a sampler every trace is
-        kept and this is a no-op.
-        """
-        if self._sampler is None or trace_id is None:
-            return True
-        return self._sampler.register(
-            trace_id, key=key, scope=scope, workload=workload,
-            t_start=self.now if t_start is None else t_start,
-        )
-
-    def register_foreign(self, trace_id: Optional[int], sampled: bool) -> None:
-        """Adopt a remote shard's head decision carried on the wire."""
-        if self._sampler is not None and trace_id is not None:
-            self._sampler.register_foreign(trace_id, sampled)
-
-    def note_alert(self, t: float, scope: str = "",
-                   exemplar_trace_ids=()) -> None:
-        """An SLO alert fired: tail-keep the overlapping pending traces."""
-        if self._sampler is not None:
-            self._apply_resolutions(self._sampler.note_alert(
-                t, scope=scope, exemplar_trace_ids=exemplar_trace_ids))
-
-    def keep_trace(self, trace_id: int, reason: str = "forced") -> None:
-        """Unconditionally keep one pending trace (debug / ad-hoc rules)."""
-        if self._sampler is not None:
-            self._apply_resolutions(self._sampler.force_keep(trace_id, reason))
-
-    def finalize_sampling(self) -> None:
-        """Resolve every still-pending local trace (champions kept, the
-        rest sampled out).  Idempotent; called automatically by every
-        export/query entry point, so callers only need it explicitly when
-        inspecting ``records`` raw mid-run."""
-        if self._sampler is not None:
-            self._apply_resolutions(self._sampler.finalize())
-
-    def _wire_sampled(self, trace_id: Optional[int]) -> Optional[bool]:
-        """The sampled flag to propagate on an envelope for ``trace_id``:
-        True = kept, False = pending/out (receiver buffers as foreign),
-        None = no sampler, don't extend the wire tuple."""
-        if self._sampler is None or trace_id is None:
-            return None
-        return self._sampler.state(trace_id) in (None, _sampling.KEPT)
+        self.records.append(record)
 
     # -- queries ----------------------------------------------------------------
     def spans(self, cat: Optional[str] = None) -> list[SpanRecord]:
-        self.finalize_sampling()
         if cat is None:
             return [r for r in self.records if r.ph == "X"]
         return [r for r in self.records if r.ph == "X" and r.cat == cat]
 
     def instants(self, name: Optional[str] = None) -> list[SpanRecord]:
-        self.finalize_sampling()
         if name is None:
             return [r for r in self.records if r.ph == "i"]
         return [r for r in self.records if r.ph == "i" and r.name == name]
 
     def by_trace(self) -> dict[int, list[SpanRecord]]:
-        self.finalize_sampling()
         out: dict[int, list[SpanRecord]] = {}
         for r in self.records:
             if r.trace_id is not None:
@@ -467,13 +298,7 @@ class Tracer:
         """
         now = self.now
         records = []
-        sampler = self._sampler
         for span in sorted(self._open.values(), key=lambda s: s.span_id):
-            if sampler is not None and sampler.state(span.trace_id) in (
-                    _sampling.OUT, _sampling.FOREIGN_PENDING):
-                # out: decided against; foreign: shipped separately in the
-                # snapshot for post-merge resolution (never exported here)
-                continue
             args = dict(span.args)
             args["open"] = True
             records.append(SpanRecord(
@@ -491,31 +316,14 @@ class Tracer:
         return records
 
     def summary(self) -> dict:
-        self.finalize_sampling()
-        out = {
+        return {
             "spans": sum(1 for r in self.records if r.ph == "X"),
             "instants": sum(1 for r in self.records if r.ph == "i"),
             "traces": len(self.by_trace()),
             "dropped": self.dropped,
-            "sampled_out": self.sampled_out,
             "open_spans": self.open_spans,
             "max_spans": self.max_spans,
         }
-        if self._sampler is not None:
-            out["sampling"] = self._sampler.summary()
-        elif self._merged_sampling:
-            agg = {"rate": self._merged_sampling[0]["rate"], "head_kept": 0,
-                   "tail_kept": {}, "out_traces": 0, "pending": 0,
-                   "foreign_pending": 0, "late_keeps": 0}
-            for s in self._merged_sampling:
-                for key in ("head_kept", "out_traces", "pending",
-                            "foreign_pending", "late_keeps"):
-                    agg[key] += s.get(key, 0)
-                for reason, n in s.get("tail_kept", {}).items():
-                    agg["tail_kept"][reason] = agg["tail_kept"].get(reason, 0) + n
-            agg["tail_kept"] = dict(sorted(agg["tail_kept"].items()))
-            out["sampling"] = agg
-        return out
 
     # -- export -----------------------------------------------------------------
     def to_chrome(self) -> dict:
@@ -525,7 +333,6 @@ class Tracer:
         at ``env.now`` and an ``"open": true`` flag — a mid-run export
         never silently omits in-flight work.
         """
-        self.finalize_sampling()
         pids: dict[str, int] = {}
         tids: dict[tuple[str, str], int] = {}
         events: list[dict] = []
@@ -570,7 +377,6 @@ class Tracer:
                 "source": "repro.obs",
                 "clock": "sim-seconds",
                 "dropped": self.dropped,
-                "sampled_out": self.sampled_out,
                 "open_spans": self.open_spans,
             },
         }
@@ -583,7 +389,6 @@ class Tracer:
         """Canonical content digest (see :func:`trace_digest`), including
         synthetic closes for still-open spans — exactly what a shard
         snapshot ships, so plain-run and merged digests are comparable."""
-        self.finalize_sampling()
         return trace_digest(self.records + self._open_records())
 
     # -- cross-process collection ------------------------------------------------
@@ -597,14 +402,12 @@ class Tracer:
         ``now`` and an ``"open": true`` arg — a shard harvest never
         silently omits in-flight work.
         """
-        self.finalize_sampling()
-
         def entry(r: SpanRecord) -> tuple:
             return (r.span_id, r.parent_id, r.trace_id, r.name, r.cat,
                     r.t_start, r.t_end, r.pid, r.tid, r.ph, dict(r.args))
 
         records = [entry(r) for r in self.records + self._open_records()]
-        snap = {
+        return {
             "version": _SNAPSHOT_VERSION,
             "namespace": self.namespace,
             "max_spans": self.max_spans,
@@ -612,30 +415,6 @@ class Tracer:
             "open_spans": self.open_spans,
             "records": records,
         }
-        if self._sampler is not None:
-            # Traces homed on another shard whose head decision said
-            # "pending": their records ride home as (trace_id, record)
-            # pairs for the coordinator to resolve against the merged
-            # kept set.  Optional keys — absent for unsampled tracers, so
-            # the snapshot wire format is unchanged at rate 1.0.
-            foreign = [(tid, entry(r))
-                       for tid, buf in self._pending_buf.items()
-                       for r in buf]
-            now = self.now
-            for span in sorted(self._open.values(), key=lambda s: s.span_id):
-                if self._sampler.state(span.trace_id) == _sampling.FOREIGN_PENDING:
-                    args = dict(span.args)
-                    args["open"] = True
-                    foreign.append((span.trace_id, (
-                        span.span_id, span.parent_id, span.trace_id,
-                        span.name, span.cat, span.t_start,
-                        max(now, span.t_start), span.pid, span.tid,
-                        "X", args,
-                    )))
-            snap["sampled_out"] = self.sampled_out
-            snap["foreign"] = foreign
-            snap["sampling"] = self._sampler.summary()
-        return snap
 
     def merge_snapshot(self, snapshot: dict,
                        track_prefix: Optional[str] = None) -> int:
@@ -659,9 +438,6 @@ class Tracer:
             )
         added = 0
         self.dropped += snapshot.get("dropped", 0)
-        self.sampled_out += snapshot.get("sampled_out", 0)
-        if snapshot.get("sampling") is not None:
-            self._merged_sampling.append(snapshot["sampling"])
         for entry in snapshot["records"]:
             (span_id, parent_id, trace_id, name, cat,
              t_start, t_end, pid, tid, ph, args) = entry
@@ -676,45 +452,6 @@ class Tracer:
             added += 1
             if t_end > self._merged_now:
                 self._merged_now = t_end
-        for foreign_trace, entry in snapshot.get("foreign", ()):
-            if track_prefix:
-                entry = list(entry)
-                entry[7] = f"{track_prefix}{entry[7]}"
-                entry = tuple(entry)
-            self._foreign_stash.append((foreign_trace, entry))
-        return added
-
-    def resolve_foreign(self) -> int:
-        """Resolve snapshot-shipped foreign records against the merged
-        kept set; returns records adopted.
-
-        A foreign record belongs to a trace homed on another shard; that
-        home shard's tail rules decided its fate, and a kept trace always
-        ships at least its root record — so after merging every shard,
-        membership of the trace id in ``records`` *is* the decision.
-        Rejected records count as ``sampled_out``, matching what the
-        single-shard run of the same world counts when it discards the
-        same buffers locally.
-        """
-        if not self._foreign_stash:
-            return 0
-        kept = {r.trace_id for r in self.records if r.trace_id is not None}
-        added = 0
-        for trace_id, entry in self._foreign_stash:
-            if trace_id in kept:
-                (span_id, parent_id, tid_, name, cat,
-                 t_start, t_end, pid, tid, ph, args) = entry
-                self._record(SpanRecord(
-                    span_id=span_id, parent_id=parent_id, trace_id=tid_,
-                    name=name, cat=cat, t_start=t_start, t_end=t_end,
-                    pid=pid, tid=tid, ph=ph, args=dict(args),
-                ))
-                added += 1
-                if t_end > self._merged_now:
-                    self._merged_now = t_end
-            else:
-                self.sampled_out += 1
-        self._foreign_stash.clear()
         return added
 
 

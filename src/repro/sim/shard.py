@@ -131,11 +131,6 @@ class ShardSpec:
     tracing: bool = False
     #: per-shard tracer bound (only meaningful with ``tracing``)
     trace_max_spans: int = 250_000
-    #: head-sampling rate for invocation traces (1.0 = keep everything);
-    #: below 1.0 every shard tracer gets a :class:`repro.obs.sampling.
-    #: TraceSampler` and the coordinator resolves cross-shard pendings
-    #: after the merge — the kept set is invariant to the shard layout
-    trace_sample_rate: float = 1.0
 
 
 class ShardContext:
@@ -158,12 +153,9 @@ class ShardContext:
         self.tracer = None
         if spec.tracing:
             from repro.obs import Tracer
-            from repro.obs.sampling import TraceSampler
 
-            sampler = (TraceSampler(spec.trace_sample_rate)
-                       if spec.trace_sample_rate < 1.0 else None)
             self.tracer = Tracer(env, max_spans=spec.trace_max_spans,
-                                 namespace=spec.shard_id, sampler=sampler)
+                                 namespace=spec.shard_id)
         #: group id -> SLO engine, registered by the scenario via
         #: :meth:`register_slo`; alert logs are harvested at finish
         self.slo_engines: dict[int, Any] = {}
@@ -525,7 +517,6 @@ def run_sharded(
     record_pop_trace: bool = False,
     tracing: bool = False,
     trace_max_spans: int = 250_000,
-    trace_sample_rate: float = 1.0,
 ) -> ShardRunResult:
     """Run ``scenario`` partitioned into ``num_shards`` shards.
 
@@ -540,8 +531,11 @@ def run_sharded(
     span snapshots and SLO alert logs home in the harvest, and merges
     them into ``result.tracer`` (one Perfetto-loadable timeline with a
     per-shard track prefix when ``num_shards > 1``) plus ``result.alerts``
-    and ``result.trace_digest``.  Tracing is pure bookkeeping: the event
-    timeline — pop order included — is identical with it on or off.
+    and ``result.trace_digest``.  Each shard tracer keeps every record
+    until it holds ``trace_max_spans`` and counts the rest as dropped;
+    the merged tracer sums those counts.  Tracing is pure bookkeeping:
+    the event timeline — pop order included — is identical with it on or
+    off, and ``trace_digest`` is the same in inline and process mode.
     """
     lookahead = _INF if lookahead_s is None else float(lookahead_s)
     if lookahead <= 0:
@@ -562,7 +556,6 @@ def run_sharded(
             collect=collect, metrics_collect=metrics_collect,
             record_pop_trace=record_pop_trace,
             tracing=tracing, trace_max_spans=trace_max_spans,
-            trace_sample_rate=trace_sample_rate,
         )
         for s, groups in enumerate(assignment)
     ]
@@ -741,11 +734,6 @@ def run_sharded(
             prefix = f"shard{harvest['shard_id']}/" if num_shards > 1 else None
             merged_tracer.merge_snapshot(harvest["trace"], track_prefix=prefix)
             merged_alerts.extend(harvest.get("alerts", ()))
-        # Records of sampled traces homed on a *different* shard than the
-        # one that buffered them resolve against the merged kept set —
-        # after this, a 2-shard run's kept traces (and sampled_out counts)
-        # equal the 1-shard run's.
-        merged_tracer.resolve_foreign()
         merged_alerts.sort(key=lambda a: (a.get("t", 0.0), a.get("group", -1),
                                           a.get("rule", ""), a.get("state", "")))
         result.tracer = merged_tracer

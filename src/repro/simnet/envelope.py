@@ -103,14 +103,8 @@ class Envelope:
     deliver_time: float #: sim time it becomes visible at the destination
     seq: int            #: per-source monotonic sequence number
     payload: Any        #: normalized JSON-shaped payload
-    #: optional ``(trace_id, parent_span_id)`` or ``(trace_id,
-    #: parent_span_id, sampled)`` — stitches the receiver's spans into
-    #: the sender's trace tree across the shard boundary.  The third
-    #: element (present only when the sender samples traces) propagates
-    #: the sender's head decision: 1 = kept, 0 = pending/out (the
-    #: receiver buffers the trace's records as *foreign* until the
-    #: coordinator resolves them against the merged kept set).  A
-    #: 2-tuple means "kept" — the pre-sampling wire form, unchanged.
+    #: optional ``(trace_id, parent_span_id)`` — stitches the receiver's
+    #: spans into the sender's trace tree across the shard boundary
     trace_ctx: Optional[tuple] = None
 
     def sort_key(self) -> tuple:
@@ -202,17 +196,7 @@ class GroupPort:
         if delay != delay or delay == float("inf"):
             raise ConfigurationError(f"cross-shard delay must be finite, got {delay}")
         if trace_ctx is not None:
-            sampled = trace_ctx[2] if len(trace_ctx) > 2 else None
             trace_ctx = (int(trace_ctx[0]), int(trace_ctx[1]))
-            if sampled is None and self.tracer is not None:
-                # Stamp the sender's head decision on the wire so the
-                # receiving shard can route the trace's records (kept vs
-                # foreign-pending).  None (no sampler) keeps the 2-tuple
-                # wire form bit-identical to the pre-sampling protocol.
-                sampled = getattr(self.tracer, "_wire_sampled", lambda _t: None)(
-                    trace_ctx[0])
-            if sampled is not None:
-                trace_ctx += (1 if sampled else 0,)
         self._seq += 1
         now = self.env.now
         envelope = Envelope(
@@ -271,10 +255,6 @@ class GroupPort:
             self.received += 1
             if self.tracer is not None:
                 ctx = envelope.trace_ctx
-                if ctx is not None and len(ctx) > 2:
-                    # adopt the sender's head decision before recording,
-                    # so the recv instant routes to the right bucket
-                    self.tracer.register_foreign(ctx[0], sampled=bool(ctx[2]))
                 self.tracer.instant(
                     "envelope:recv", cat="net",
                     pid=f"group{self.group_id}", tid=f"ch:{envelope.channel}",

@@ -18,7 +18,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import DgsfConfig
-from repro.experiments.runner import run_scenario, run_single_invocation
+from repro.experiments.runner import (
+    run_scenario,
+    run_single_invocation,
+    run_single_invocation_traced,
+)
 from repro.faas.workload_gen import exponential_gap_arrivals
 from repro.sim.rng import RngRegistry
 
@@ -34,6 +38,11 @@ FACE_ID_UNOPT_E2E = 21.95291271165436
 KMEANS_DGSF_E2E = 11.361748619862041
 MIXED_PROVIDER_E2E = 26.877116275928223
 MIXED_FUNCTION_E2E_SUM = 107.12672355760257
+#: the traced mixed run's trace as (``tracer.digest()``, record count)
+MIXED_TRACE = (0xAE79E8B3, 12_507)
+#: ``run_single_invocation_traced("kmeans", "dgsf", DgsfConfig(num_gpus=1,
+#: seed=0))``'s trace as (``tracer.digest()``, record count)
+KMEANS_TRACE = (0x69933182, 224)
 #: contended mixed plan (2 GPUs, sharing(2), every workload × 4) per
 #: discipline.  fcfs and sff were captured BEFORE the scheduler layer was
 #: extracted from the monitor — the extraction must be event-for-event
@@ -197,6 +206,20 @@ def test_mixed_scenario_with_full_observability_is_bit_identical():
     rows = invocation_critpaths(dep.tracer, res.invocations)
     assert len(rows) == len(res.invocations)
     assert all(row["coverage"] >= 0.95 for row in rows)
+    assert (dep.tracer.digest(), len(dep.tracer.records)) == MIXED_TRACE
+
+
+def test_trace_digest_does_not_depend_on_process_history():
+    """Invocation ids reach the trace (``inv-N`` track names and
+    ``invocation_id`` args) and :func:`repro.obs.trace_digest` does not
+    renumber them, so they count per platform: a second traced run of
+    the same world in this process digests exactly like the first."""
+    traces = []
+    for _ in range(2):
+        _, dep = run_single_invocation_traced(
+            "kmeans", "dgsf", DgsfConfig(num_gpus=1, seed=0))
+        traces.append((dep.tracer.digest(), len(dep.tracer.records)))
+    assert traces == [KMEANS_TRACE, KMEANS_TRACE]
 
 
 def test_fig8_migration_timeline_is_bit_identical():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, percentile
+from repro.obs.metrics import _GAUGE_CAP
 
 
 # --- instruments -------------------------------------------------------------
@@ -233,3 +234,34 @@ def test_histogram_merge_of_already_truncated_shards():
     assert hist.total == sum(range(2 * n))
     assert len(hist.observations) < _HISTOGRAM_CAP
     assert hist.percentile(95) == pytest.approx(1.9 * n, rel=0.05)
+
+
+# --- gauge decimation (bounded series memory) -------------------------------
+
+def test_gauge_series_memory_is_bounded_and_loud():
+    reg = MetricsRegistry()
+    gauge = reg.gauge("gpu.utilization", gpu_server="s0", device=0)
+    n = 3 * _GAUGE_CAP
+    for i in range(n):
+        gauge.set(float(i % 100), i * 0.001)
+    assert len(gauge.values) < _GAUGE_CAP
+    assert gauge.count == n
+    assert gauge.truncated
+    assert gauge.dropped == n - len(gauge.values)
+    assert gauge.value == float((n - 1) % 100)  # .value stays exact
+    # decimation must be visible in the export, never silent
+    as_dict = reg.as_dict()
+    text = str(as_dict)
+    assert "sample_dropped" in text
+
+
+def test_live_slo_stream_sees_every_set_despite_decimation():
+    reg = MetricsRegistry()
+    seen = []
+    reg.subscribe(lambda metric, value, t: seen.append(value))
+    gauge = reg.gauge("gpu.utilization", gpu_server="s0", device=0)
+    n = _GAUGE_CAP + 10
+    for i in range(n):
+        gauge.set(float(i), i * 0.001)
+    assert len(seen) == n           # notify is per set, not per kept sample
+    assert len(gauge.values) < n    # storage is decimated anyway

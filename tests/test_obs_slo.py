@@ -7,12 +7,14 @@ import pytest
 from repro.core import DgsfConfig, FaultPlan
 from repro.experiments.runner import make_plan, run_scenario
 from repro.obs import MetricsRegistry, SloEngine
+from repro.obs.metrics import _GAUGE_CAP
 from repro.obs.slo import (
     BurnRateRule,
     GpuImbalanceRule,
     LatencyRule,
     QueueStarvationRule,
     SlidingWindow,
+    evaluate_cluster_slo,
 )
 
 
@@ -277,3 +279,40 @@ def test_evaluate_cluster_slo_empty_registry_and_custom_rules():
         MetricsRegistry(), rules=[GpuImbalanceRule(min_spread=0.1)])
     assert [r.name for r in custom.rules] == ["gpu-imbalance"]
     assert custom.rules[0].min_spread == 0.1
+
+
+# --- decimated series and exemplars ------------------------------------------
+
+def test_slo_rules_fire_on_decimated_gauge_series():
+    reg = MetricsRegistry()
+    hot = reg.gauge("gpu.utilization", gpu_server="s0", device=0)
+    idle = reg.gauge("gpu.utilization", gpu_server="s0", device=1)
+    n = 2 * _GAUGE_CAP
+    for i in range(n):
+        t = i * 0.001
+        hot.set(1.0, t)
+        idle.set(0.0, t)
+    assert hot.truncated and idle.truncated
+    engine = evaluate_cluster_slo(reg, rules=[GpuImbalanceRule(
+        min_spread=0.4, window_s=10.0, min_samples=3)])
+    assert any(e.rule == "gpu-imbalance" and e.state == "firing"
+               for e in engine.alerts)
+
+
+def test_histogram_exemplars_and_alert_exemplar_trace_ids():
+    reg = MetricsRegistry()
+    hist = reg.histogram("invocation.e2e_s", workload="wl")
+    engine = SloEngine([LatencyRule(threshold_s=1.0, window_s=300.0,
+                                    min_count=3)]).attach(reg)
+    for i, (v, tid) in enumerate(((0.1, 101), (5.0, 102), (7.0, 103))):
+        hist.observe(v, trace_id=tid)
+        engine.evaluate(float(i))
+    assert hist.last_trace_id == 103
+    dumped = reg.as_dict()
+    text = str(dumped)
+    assert "exemplars" in text
+    fired = [event for event in engine.alerts if event.state == "firing"]
+    assert fired, "latency rule should have fired"
+    exemplars = fired[0].details.get("exemplars")
+    assert exemplars and set(exemplars) <= {101, 102, 103}
+    assert 103 in exemplars or 102 in exemplars  # worst offenders first
