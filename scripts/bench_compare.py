@@ -42,7 +42,7 @@ so CI names the guilty subsystem, not just the guilty number.
 Usage::
 
     python scripts/bench_compare.py BENCH_sched.json /tmp/fresh-sched.json
-    python scripts/bench_compare.py BENCH_ablation.json fresh.json --rel-tol 0.01
+    python scripts/bench_compare.py BENCH_runtimes.json fresh.json --rel-tol 0.01
     python scripts/bench_compare.py BENCH_llm.json fresh.json --explain
 """
 

@@ -21,14 +21,11 @@ else
     PYTHONPATH=src python -m pytest -x -q "$@"
 fi
 
-echo "== paper benchmarks on the native, pooling, migration and recovery paths =="
-# Table II and Fig. 3 (every workload's native runtime within 25% of the
-# paper, and its native phase split), Fig. 4 (handle-pooling ablation),
+echo "== paper benchmarks on the migration and recovery paths =="
 # Fig. 8 (migration case study), Table V, the Table I migration
 # strategies and crash recovery.
 PYTHONPATH=src python -m pytest -q --benchmark-disable \
-    benchmarks/test_table2.py benchmarks/test_fig3.py \
-    benchmarks/test_fig4.py benchmarks/test_fig8.py benchmarks/test_table5.py \
+    benchmarks/test_fig8.py benchmarks/test_table5.py \
     benchmarks/test_ablation_migration.py \
     benchmarks/test_ablation_migration_strategies.py \
     benchmarks/test_ablation_faults.py
@@ -58,15 +55,18 @@ PYTHONPATH=src python -m repro.experiments sched --seed 3 --copies 4 \
 echo "== perf-regression gate (bench_compare) =="
 python scripts/bench_compare.py BENCH_sched.json "$SCHED_OUT"
 
-echo "== Fig. 4 ablation (experiments fig4) =="
-# The defaults are the committed BENCH_ablation.json's parameters
-# (copies=10): cumulative optimizations per workload, plus the warm
-# artifact-cache rows.
-ABLATION_OUT="${ABLATION_BENCH_OUT:-/tmp/dgsf-bench-ablation.json}"
-PYTHONPATH=src python -m repro.experiments fig4 --out "$ABLATION_OUT"
+echo "== §VIII-B/C runtimes experiment (experiments runtimes) =="
+# The defaults are the committed BENCH_runtimes.json's parameters (seed 0,
+# copies 10, which it does not use): nine single-invocation runs per
+# workload give Table II (native, DGSF, Lambda and CPU runtimes, each GPU
+# path within 25% of the paper), Fig. 3's phase split and Fig. 4's
+# cumulative optimizations, plus the async-stream and batch-threshold
+# ablations.  The run fails itself if any of their claims stops holding.
+RUNTIMES_OUT="${RUNTIMES_BENCH_OUT:-/tmp/dgsf-bench-runtimes.json}"
+PYTHONPATH=src python -m repro.experiments runtimes --out "$RUNTIMES_OUT"
 
-echo "== ablation-bench regression gate (bench_compare) =="
-python scripts/bench_compare.py BENCH_ablation.json "$ABLATION_OUT"
+echo "== runtimes-bench regression gate (bench_compare) =="
+python scripts/bench_compare.py BENCH_runtimes.json "$RUNTIMES_OUT"
 
 echo "== §VIII-D sharing experiment (experiments sharing) =="
 # The defaults are the committed BENCH_sharing.json's parameters (seed 0,

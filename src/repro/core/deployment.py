@@ -359,6 +359,8 @@ class DgsfGpuProvider:
     def __init__(self, deployment: "DgsfDeployment"):
         self.deployment = deployment
         self.control_rtt_s = 2 * deployment.network.default_profile.latency_s
+        #: numbers the guests this deployment builds (their metric labels)
+        self._guest_ids = itertools.count(1)
 
     def acquire(self, fc: FunctionContext, spec: FunctionSpec) -> Generator:
         dep = self.deployment
@@ -421,6 +423,7 @@ class DgsfGpuProvider:
                 metrics=dep.metrics,
                 tracer=dep.tracer,
                 span=fc.invocation._span,
+                guest_id=next(self._guest_ids),
             )
             kernel_names = fc.params.get("kernel_names", dep.kernels.names())
             # The attach handshake happens here; workloads time their own

@@ -50,7 +50,6 @@ from repro.core.config import OptimizationFlags
 __all__ = ["GuestLibrary", "GuestGpuBundle", "GuestRpcError", "IDEMPOTENT_METHODS"]
 
 _local_ids = itertools.count(0x6000_0000)
-_guest_ids = itertools.count(1)
 
 #: flush the batch buffer when it reaches this many calls even without a
 #: synchronization point (bounds guest memory and server burstiness)
@@ -112,6 +111,7 @@ class GuestLibrary:
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
         span=None,
+        guest_id: int = 1,
     ):
         self.env = env
         self.rpc = rpc
@@ -141,9 +141,10 @@ class GuestLibrary:
         self._pending: list[PendingReply] = []
         self._deferred_error: Optional[Exception] = None
         # counters live in the (possibly shared) metrics registry, one
-        # labeled instrument per guest; the attribute names below are
-        # read-only views of them
-        self.guest_id = next(_guest_ids)
+        # labeled instrument per guest: ``guest_id`` is the guest's number
+        # in the deployment that builds it (1 for a guest with its own
+        # registry).  The attribute names below are read-only views of them
+        self.guest_id = guest_id
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         c = self.metrics.counter
         g = self.guest_id

@@ -1,9 +1,11 @@
 """Experiment reproductions of the paper's §VIII tables and figures.
 
-One module per table or figure, except :mod:`repro.experiments.sharing`,
-which simulates §VIII-D's sharing runs once and derives Tables III–IV
-and Figs. 5–7 from them.  Each module returns plain dict rows (consumed by
-the benchmarks, the CLI and :mod:`repro.experiments.reporting`'s text
+:mod:`repro.experiments.runtimes` simulates each §VIII-B/C single-invocation
+configuration once and derives Table II and Figs. 3–4 from the runs;
+:mod:`repro.experiments.sharing` does the same for §VIII-D's sharing
+runs (Tables III–IV, Figs. 5–7).  The other modules are one per table,
+figure or ablation.  Each module returns plain dict rows (consumed by the
+benchmarks, the CLI and :mod:`repro.experiments.reporting`'s text
 renderer); the ones that write a committed ``BENCH_*.json`` expose
 ``sections(...)``.
 """
@@ -14,10 +16,8 @@ from repro.experiments.runner import (
     ScenarioResult,
 )
 from repro.experiments import (
-    table2,
+    runtimes,
     table5,
-    fig3,
-    fig4,
     fig8,
     sharing,
     sched_ablation,
@@ -31,10 +31,8 @@ __all__ = [
     "run_single_invocation",
     "run_scenario",
     "ScenarioResult",
-    "table2",
+    "runtimes",
     "table5",
-    "fig3",
-    "fig4",
     "fig8",
     "sharing",
     "sched_ablation",

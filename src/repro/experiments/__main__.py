@@ -2,13 +2,13 @@
 
 Usage::
 
-    python -m repro.experiments table2
+    python -m repro.experiments runtimes     # Table II, Figs. 3-4
     python -m repro.experiments fig8
     python -m repro.experiments all          # everything (several minutes)
     python -m repro.experiments sharing      # Tables III-IV, Figs. 5-7
     python -m repro.experiments sched --seed 3 --copies 4 --out BENCH_sched.json
 
-``fig4``, ``sharing``, ``sched``, ``llm`` and ``shard`` write their committed
+``runtimes``, ``sharing``, ``sched``, ``llm`` and ``shard`` write their committed
 ``BENCH_*.json`` baseline with ``--out``: a header (``experiment``,
 ``seed``, ``copies``, ``python``, ``cpu_count``, ``wall_seconds`` and the
 module's ``gates`` declaration) followed by the module's sections.
@@ -27,20 +27,20 @@ import time
 from pathlib import Path
 
 from repro.experiments import (
-    table2, table5, fig3, fig4, fig8, sharing,
+    runtimes, table5, fig8, sharing,
     sched_ablation, critpath_ablation, shard_ablation, llm_ablation,
     render_table,
 )
 
 EXPERIMENTS = [
-    "table2", "fig3", "fig4", "sharing", "fig8", "table5", "sched",
-    "critpath", "shard", "llm",
+    "runtimes", "sharing", "fig8", "table5", "sched", "critpath", "shard",
+    "llm",
 ]
 
 
 #: experiments whose sections make a committed ``BENCH_*.json`` (``--out``)
 BASELINES = {
-    "fig4": (fig4, "Figure 4 — ablation (s)"),
+    "runtimes": (runtimes, "§VIII-B/C runtimes — Table II, Figs. 3-4"),
     "sharing": (sharing, "§VIII-D sharing — Tables III-IV, Figs. 5-7"),
     "sched": (sched_ablation,
               "Scheduler ablation — queue wait by size class (s)"),
@@ -62,13 +62,13 @@ def run_baseline(name: str, seed: int, copies: int, trace_dir: str = None,
                  out: Path = None) -> None:
     """Print the experiment's sections; with ``out``, write the baseline."""
     module, title = BASELINES[name]
-    extra = {"trace_dir": trace_dir} if name == "fig4" else {}
+    extra = {"trace_dir": trace_dir} if name == "runtimes" else {}
     t0 = time.perf_counter()
     sections = module.sections(seed=seed, copies=copies, **extra)
     wall_s = time.perf_counter() - t0
     for section, rows in sections.items():
         _print_rows(f"{title} [{section}]", rows)
-    if trace_dir and name == "fig4":
+    if trace_dir and name == "runtimes":
         print(f"[trace + critpath artifacts in {trace_dir}]\n", file=sys.stderr)
     if out is None:
         return
@@ -92,10 +92,6 @@ def run_one(name: str, seed: int, copies: int, trace_dir: str = None,
     t0 = time.time()
     if name in BASELINES:
         run_baseline(name, seed, copies, trace_dir=trace_dir, out=out)
-    elif name == "table2":
-        _print_rows("Table II — workload runtimes (s)", table2.run())
-    elif name == "fig3":
-        _print_rows("Figure 3 — phase breakdown (s)", fig3.run(seed=seed))
     elif name == "fig8":
         out = fig8.run(seed=seed, sample_utilization=False)
         _print_rows("Figure 8 — migration case study (s)", out["summary"])
@@ -123,7 +119,7 @@ def main(argv=None) -> None:
                              "sharing; 100k scaleout invocations for shard)")
     parser.add_argument("--trace-dir", default=None,
                         help="export Chrome trace + critical-path/phase JSON "
-                             "artifacts here (fig4 only)")
+                             "artifacts here (runtimes only)")
     parser.add_argument("--out", type=Path, default=None,
                         help="write the committed-baseline JSON here "
                              f"({', '.join(BASELINES)} only)")

@@ -22,12 +22,14 @@ metadata), loadable in Perfetto or chrome://tracing.  Track names
 ``process_name``/``thread_name`` metadata events on export; timestamps
 are microseconds per the format spec.
 
+Every tracer allocates span/trace ids from its *own* counters, offset
+into the id block of its ``namespace`` (0 by default), so its ids do not
+depend on what else traced in the process.
+
 **Distributed collection** (sharded runs, :mod:`repro.sim.shard`): a
-tracer built with ``namespace=<shard_id>`` allocates span/trace ids from
-its *own* counters offset into a per-namespace id block, so ids are
-deterministic per shard (independent of what else traced in the
-process) and collision-free across shards.  :meth:`Tracer.snapshot`
-dumps the records as plain picklable tuples (mirroring
+shard's tracer uses the shard id as its namespace, so ids are
+collision-free across shards.  :meth:`Tracer.snapshot` dumps the
+records as plain picklable tuples (mirroring
 :meth:`repro.obs.metrics.MetricsRegistry.snapshot`) and
 :meth:`Tracer.merge_snapshot` folds shard snapshots into one merged
 tracer — optionally re-homing each shard's spans onto a prefixed
@@ -51,10 +53,7 @@ from typing import Optional
 
 __all__ = ["Span", "SpanRecord", "Tracer", "trace_digest"]
 
-_span_ids = itertools.count(1)
-_trace_ids = itertools.count(1)
-
-#: width of one namespace's id block: a namespaced tracer's ids live in
+#: width of one namespace's id block: a tracer's ids live in
 #: ``[namespace * 2**40, (namespace + 1) * 2**40)`` — far beyond any
 #: realistic span count, so blocks never collide
 _NAMESPACE_STRIDE = 1 << 40
@@ -159,31 +158,25 @@ class Span:
 class Tracer:
     """Bounded collector of spans across the whole deployment.
 
-    ``namespace`` (optional) switches id allocation from the process-wide
-    counters to tracer-local counters offset by ``namespace * 2**40``:
-    shard workers use their shard id, so every shard's ids are
-    deterministic and globally unique in the merged trace.  ``env`` may
-    be ``None`` for a merge-target tracer that only aggregates snapshots
-    (its clock tracks the latest merged ``t_end``).
+    Span and trace ids count from ``namespace * 2**40 + 1``: shard
+    workers use their shard id as ``namespace``, so every shard's ids are
+    globally unique in the merged trace.  ``env`` may be ``None`` for a
+    merge-target tracer that only aggregates snapshots (its clock tracks
+    the latest merged ``t_end``).
     """
 
-    def __init__(self, env, max_spans: int = 250_000,
-                 namespace: Optional[int] = None):
+    def __init__(self, env, max_spans: int = 250_000, namespace: int = 0):
         if max_spans <= 0:
             raise ValueError("max_spans must be positive")
-        if namespace is not None and namespace < 0:
+        if namespace < 0:
             raise ValueError("namespace must be non-negative")
         self.env = env
         self.max_spans = max_spans
         self.namespace = namespace
         self._merged_now = 0.0
-        if namespace is not None:
-            base = namespace * _NAMESPACE_STRIDE
-            self._span_counter = itertools.count(base + 1)
-            self._trace_counter = itertools.count(base + 1)
-        else:
-            self._span_counter = None
-            self._trace_counter = None
+        base = namespace * _NAMESPACE_STRIDE
+        self._span_counter = itertools.count(base + 1)
+        self._trace_counter = itertools.count(base + 1)
         self.records: list[SpanRecord] = []
         #: records discarded because the tracer was full — never silent:
         #: surfaced in summary() and the exported JSON
@@ -200,14 +193,10 @@ class Tracer:
         return self.env.now
 
     def _next_span_id(self) -> int:
-        if self._span_counter is not None:
-            return next(self._span_counter)
-        return next(_span_ids)
+        return next(self._span_counter)
 
     def new_trace_id(self) -> int:
-        if self._trace_counter is not None:
-            return next(self._trace_counter)
-        return next(_trace_ids)
+        return next(self._trace_counter)
 
     # -- recording --------------------------------------------------------------
     def begin(self, name: str, cat: str = "span", pid: str = "sim",

@@ -128,17 +128,20 @@ def test_wider_tolerance_accepts_drift(tmp_path):
 
 def test_ablation_sections_both_compared(tmp_path, capsys):
     doc = {
-        "experiment": "fig4_ablation_plus_async_cache",
+        "experiment": "runtimes",
         "seed": 0,
-        "gates": {section: {"key": ["workload"], "exact": [], "ignore": []}
-                  for section in ("ablation", "warm_cache")},
-        "ablation": [{"workload": "kmeans", "native": 5.0, "no_opt": 20.0}],
-        "warm_cache": [{"workload": "kmeans", "cold_e2e": 11.0, "warm_e2e": 9.0}],
+        "gates": {"fig4": {"key": ["workload"], "exact": [], "ignore": []},
+                  "async_stream": {"key": ["step"],
+                                   "exact": ["async_forwarded"],
+                                   "ignore": []}},
+        "fig4": [{"workload": "kmeans", "native": 5.0, "no_opt": 20.0}],
+        "async_stream": [{"step": "+async", "elapsed_ms": 42.0,
+                          "async_forwarded": 40}],
     }
     assert run(tmp_path, doc, json.loads(json.dumps(doc))) == 0
     assert "OK: 2 row(s)" in capsys.readouterr().out
     bad = json.loads(json.dumps(doc))
-    bad["warm_cache"][0]["warm_e2e"] = 12.0
+    bad["async_stream"][0]["elapsed_ms"] = 45.0
     assert run(tmp_path, doc, bad) == 1
 
 
@@ -306,7 +309,7 @@ def test_shard_bench_smoke_only_fresh_run(tmp_path):
 def test_real_committed_baselines_self_compare(tmp_path):
     """The committed baselines must be valid inputs to their own gate."""
     root = Path(__file__).resolve().parent.parent
-    for name in ("BENCH_sched.json", "BENCH_ablation.json",
+    for name in ("BENCH_sched.json", "BENCH_runtimes.json",
                  "BENCH_kernel.json", "BENCH_shard.json", "BENCH_llm.json",
                  "BENCH_sharing.json"):
         path = root / name
@@ -316,7 +319,7 @@ def test_real_committed_baselines_self_compare(tmp_path):
 def test_committed_gates_match_their_producers():
     """Each committed file's declaration is the one its producer writes,
     so a regenerated baseline keeps the same gates."""
-    from repro.experiments import (fig4, llm_ablation, sched_ablation,
+    from repro.experiments import (llm_ablation, runtimes, sched_ablation,
                                    shard_ablation, sharing)
 
     root = Path(__file__).resolve().parent.parent
@@ -324,7 +327,8 @@ def test_committed_gates_match_their_producers():
         "bench_kernel", root / "scripts" / "bench_kernel.py")
     bench_kernel = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_kernel)
-    producers = {"BENCH_ablation.json": fig4, "BENCH_sched.json": sched_ablation,
+    producers = {"BENCH_runtimes.json": runtimes,
+                 "BENCH_sched.json": sched_ablation,
                  "BENCH_llm.json": llm_ablation, "BENCH_shard.json": shard_ablation,
                  "BENCH_kernel.json": bench_kernel, "BENCH_sharing.json": sharing}
     for name, producer in producers.items():
@@ -339,7 +343,7 @@ def test_committed_gates_match_their_producers():
     # re-record: verify.sh gates a --copies 0 smoke against it)
     header = {"experiment", "seed", "copies", "python", "cpu_count",
               "wall_seconds", "gates"}
-    for name in ("BENCH_ablation.json", "BENCH_sched.json", "BENCH_llm.json",
+    for name in ("BENCH_runtimes.json", "BENCH_sched.json", "BENCH_llm.json",
                  "BENCH_sharing.json"):
         doc = json.loads((root / name).read_text())
         assert set(doc) == header | set(producers[name].GATES), name

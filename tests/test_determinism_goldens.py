@@ -13,6 +13,7 @@ new mandatory phase), re-capture the constants and say so in the commit.
 import json
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,8 @@ MIXED_TRACE = (0xAE79E8B3, 12_507)
 #: ``run_single_invocation_traced("kmeans", "dgsf", DgsfConfig(num_gpus=1,
 #: seed=0))``'s trace as (``tracer.digest()``, record count)
 KMEANS_TRACE = (0x69933182, 224)
+#: the same run's ``metrics.as_dict()`` as a CRC32 of its sorted-key JSON
+KMEANS_METRICS_CRC = 0x0CBAB3D2
 #: contended mixed plan (2 GPUs, sharing(2), every workload × 4) per
 #: discipline.  fcfs and sff were captured BEFORE the scheduler layer was
 #: extracted from the monitor — the extraction must be event-for-event
@@ -220,6 +223,20 @@ def test_trace_digest_does_not_depend_on_process_history():
             "kmeans", "dgsf", DgsfConfig(num_gpus=1, seed=0))
         traces.append((dep.tracer.digest(), len(dep.tracer.records)))
     assert traces == [KMEANS_TRACE, KMEANS_TRACE]
+
+
+def test_metrics_do_not_depend_on_process_history():
+    """Guest numbers label every guest metric and trace ids reach the
+    histogram exemplars; a deployment numbers the guests it builds and
+    every tracer counts its own ids, so a second traced run of the same
+    world in this process has exactly the metrics of the first."""
+    crcs = []
+    for _ in range(2):
+        _, dep = run_single_invocation_traced(
+            "kmeans", "dgsf", DgsfConfig(num_gpus=1, seed=0))
+        crcs.append(zlib.crc32(
+            json.dumps(dep.metrics.as_dict(), sort_keys=True).encode()))
+    assert crcs == [KMEANS_METRICS_CRC, KMEANS_METRICS_CRC]
 
 
 def test_fig8_migration_timeline_is_bit_identical():

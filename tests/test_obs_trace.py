@@ -213,6 +213,17 @@ def test_namespaced_counters_are_disjoint_blocks():
     assert [r.span_id for r in b2.records] == [r.span_id for r in b.records]
 
 
+def test_every_tracer_counts_its_own_ids():
+    # no process-wide counter: a tracer built after another one has
+    # traced allocates the same ids, from namespace 0's block
+    a, b = make_tracer(), make_tracer()
+    _record_workload(a)
+    _record_workload(b)
+    assert [(r.span_id, r.trace_id) for r in a.records] == \
+        [(r.span_id, r.trace_id) for r in b.records]
+    assert min(r.span_id for r in b.records) == 1
+
+
 def test_digest_is_invariant_to_id_namespace():
     a = Tracer(Environment(), namespace=0)
     b = Tracer(Environment(), namespace=7)
