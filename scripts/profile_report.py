@@ -142,6 +142,11 @@ def main(argv=None) -> int:
     print(f"alerts:    {out_dir / 'alerts.json'} "
           f"({len(dep.slo.alerts)} transitions)")
     print(f"metrics:   {out_dir / 'metrics.json'}")
+    # an elided sleep is an event the Timeout version would have processed
+    kernel = dep.env.stats()
+    print(f"kernel:    {kernel['events_processed']:,} events, "
+          f"{kernel['sleeps_elided']:,} elided sleeps, "
+          f"{kernel['processes_created']:,} processes")
     print()
     header = f"{'workload':<22}{'phase':<16}{'mean_s':>9}{'p50_s':>9}{'p95_s':>9}{'p99_s':>9}"
     print(header)

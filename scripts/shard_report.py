@@ -130,7 +130,8 @@ def main(argv=None) -> int:
     print(f"bundle:   {args.out_dir} ({', '.join(manifest['files'])})")
     print(f"run:      {manifest['num_shards']} shard(s) x "
           f"{manifest['total_groups']} group(s), mode={manifest['mode']}, "
-          f"{manifest['events_processed']:,} events, "
+          f"{manifest['events_processed']:,} events "
+          f"(+{manifest['sleeps_elided']:,} elided sleeps), "
           f"{manifest['n_epochs']:,} epochs, "
           f"{manifest['n_envelopes']} envelope(s)")
     print(f"trace:    {manifest['n_span_records']:,} spans, "

@@ -363,7 +363,7 @@ class ApiServer:
                 self.requests_handled += len(requests)
                 if self.session is not None:
                     self.session.api_calls += len(requests)
-                yield self.env.timeout(self.costs.api_call_server_s * len(requests))
+                yield from self.env.sleep(self.costs.api_call_server_s * len(requests))
                 self._maybe_crash(len(requests))
                 values = []
                 for request in requests:
@@ -516,7 +516,7 @@ class ApiServer:
         # "the API server must make sure it is using the correct pointer
         # for the current context in case the API server has migrated"
         fptr = ctx.get_function(name)
-        yield self.env.timeout(self.costs.kernel_launch_s)
+        yield from self.env.sleep(self.costs.kernel_launch_s)
         if work is not None and self.kernel_work_multiplier != 1.0:
             # remote (peer) memory access slowdown after a DCUDA-style move
             work = work * self.kernel_work_multiplier

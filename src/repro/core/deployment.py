@@ -86,7 +86,7 @@ class NativeGpuSession:
 
     def _context(self) -> Generator:
         """Charge one local API call; the first also initializes CUDA."""
-        yield self.env.timeout(self.costs.api_call_local_s)
+        yield from self.env.sleep(self.costs.api_call_local_s)
         if self._ctx is None:
             self._ctx = yield from CudaContext.create(self.env, self.device, self.kernels)
         return self._ctx
@@ -213,7 +213,7 @@ class NativeGpuSession:
                          args: tuple = (), stream: int = 0,
                          work: Optional[float] = None) -> Generator:
         ctx = yield from self._call()
-        yield self.env.timeout(self.costs.kernel_launch_s)
+        yield from self.env.sleep(self.costs.kernel_launch_s)
         ctx.launch_kernel(token, Dim3(*grid), Dim3(*block), tuple(args),
                           stream_handle=stream, work_override=work)
 

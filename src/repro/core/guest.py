@@ -19,8 +19,16 @@ optimization flags a call is:
   ``cudaDeviceSynchronize`` / a D2H copy — any synchronous round trip),
 * **remoted** — one synchronous round trip to the API server.
 
-Counters record intercepted vs forwarded calls so the evaluation can
-report the paper's "reduced forwarded APIs by up to 48%/96%" numbers.
+Per-call tallies (intercepted, localized, batched, async-forwarded) are
+plain int attributes, bumped on the call path and published to the
+metrics registry's ``guest.*{guest=N}`` counters once, at detach; the
+fault counters (RPC timeouts and retries, deferred async errors, lost
+async replies) stream to the registry as they happen, where SLO rules
+can route them.  Together with ``rpc.calls_sent`` the tallies give the
+paper's "reduced forwarded APIs by up to 48%/96%" numbers.  The guest's
+own per-call cost waits use :meth:`repro.sim.core.Environment.sleep`,
+which advances the clock in place whenever no other event could run
+first.
 
 Method names and signatures form the *GPU session facade* shared with the
 native baseline (:class:`repro.core.deployment.NativeGpuSession`, which
@@ -50,6 +58,11 @@ from repro.core.config import OptimizationFlags
 __all__ = ["GuestLibrary", "GuestGpuBundle", "GuestRpcError", "IDEMPOTENT_METHODS"]
 
 _local_ids = itertools.count(0x6000_0000)
+
+#: the per-call tallies, int attributes that :meth:`GuestLibrary.detach`
+#: publishes to the ``guest.<name>{guest=N}`` counters
+_TALLIES = ("calls_intercepted", "calls_localized", "calls_batched",
+            "calls_async_forwarded")
 
 #: flush the batch buffer when it reaches this many calls even without a
 #: synchronization point (bounds guest memory and server burstiness)
@@ -143,15 +156,20 @@ class GuestLibrary:
         # counters live in the (possibly shared) metrics registry, one
         # labeled instrument per guest: ``guest_id`` is the guest's number
         # in the deployment that builds it (1 for a guest with its own
-        # registry).  The attribute names below are read-only views of them
+        # registry).
         self.guest_id = guest_id
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         c = self.metrics.counter
         g = self.guest_id
-        self._c_intercepted = c("guest.calls_intercepted", guest=g)
-        self._c_localized = c("guest.calls_localized", guest=g)
-        self._c_batched = c("guest.calls_batched", guest=g)
-        self._c_async_forwarded = c("guest.calls_async_forwarded", guest=g)
+        # per-call tallies: plain ints on the call path, published to their
+        # counters at detach (no SLO rule routes them)
+        self.calls_intercepted = 0
+        self.calls_localized = 0
+        self.calls_batched = 0
+        self.calls_async_forwarded = 0
+        self._tally_counters = [c(f"guest.{name}", guest=g) for name in _TALLIES]
+        # fault counters stream; the attribute names below are read-only
+        # views of them
         self._c_async_deferred_errors = c("guest.async_deferred_errors", guest=g)
         self._c_async_replies_lost = c("guest.async_replies_lost", guest=g)
         self._c_rpc_timeouts = c("guest.rpc_timeouts", guest=g)
@@ -170,22 +188,6 @@ class GuestLibrary:
             rpc.trace_ctx = (span.trace_id, span.span_id)
 
     # -- counter views ----------------------------------------------------------
-    @property
-    def calls_intercepted(self) -> int:
-        return self._c_intercepted.value
-
-    @property
-    def calls_localized(self) -> int:
-        return self._c_localized.value
-
-    @property
-    def calls_batched(self) -> int:
-        return self._c_batched.value
-
-    @property
-    def calls_async_forwarded(self) -> int:
-        return self._c_async_forwarded.value
-
     @property
     def async_deferred_errors(self) -> int:
         return self._c_async_deferred_errors.value
@@ -248,8 +250,11 @@ class GuestLibrary:
         Async-forwarded calls still in flight are abandoned (their replies
         are no longer deliverable once the connection closes) and any
         deferred error is discarded — detach is process exit, not a
-        synchronization point.
+        synchronization point.  The per-call tallies are published to the
+        registry here.
         """
+        for name, counter in zip(_TALLIES, self._tally_counters):
+            counter.inc(getattr(self, name))
         yield from self._flush()
         for pending in self._pending:
             pending.abandon()
@@ -259,13 +264,10 @@ class GuestLibrary:
         self.attached = False
 
     # -- plumbing ----------------------------------------------------------------------
-    def _intercept(self) -> None:
-        self._c_intercepted.inc()
-
     def _local(self) -> Generator:
         """Account a localized call: guest-side cost only."""
-        self._c_localized.inc()
-        yield self.env.timeout(self.costs.api_call_local_s)
+        self.calls_localized += 1
+        yield from self.env.sleep(self.costs.api_call_local_s)
 
     def _remote(self, method: str, *args, extra_bytes: int = 0,
                 reply_extra_bytes: int = 0, **kwargs) -> Generator:
@@ -341,11 +343,11 @@ class GuestLibrary:
         if self.flags.async_forward:
             yield from self._forward_async(method, args, extra_bytes)
         elif self.flags.batching:
-            self._c_batched.inc()
+            self.calls_batched += 1
             self._batch.append((method, args, extra_bytes))
             if len(self._batch) >= self.batch_flush_threshold:
                 self._flush_now()
-            yield self.env.timeout(self.costs.api_call_local_s)
+            yield from self.env.sleep(self.costs.api_call_local_s)
         else:
             # without batching every enqueue is its own synchronous RPC
             yield from self._remote(method, *args, extra_bytes=extra_bytes)
@@ -365,7 +367,7 @@ class GuestLibrary:
         while len(self._pending) >= self.async_max_in_flight:
             # backpressure: absorb the oldest in-flight call before sending
             yield from self._absorb_oldest()
-        self._c_async_forwarded.inc()
+        self.calls_async_forwarded += 1
         pending = self.rpc.call_async(method, *args, extra_bytes=extra_bytes)
         if self.tracer is not None:
             # open span closed at harvest time — the span's extent is the
@@ -376,7 +378,7 @@ class GuestLibrary:
                 req_bytes=extra_bytes, msg_id=pending.msg_id,
             )
         self._pending.append(pending)
-        yield self.env.timeout(self.costs.api_call_local_s)
+        yield from self.env.sleep(self.costs.api_call_local_s)
 
     def _absorb_oldest(self) -> Generator:
         """Blocking harvest of the oldest in-flight async call (backpressure
@@ -458,7 +460,7 @@ class GuestLibrary:
 
     # --- device management ---
     def cudaGetDeviceCount(self) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         if classify("cudaGetDeviceCount", self.flags) is ApiClass.LOCALIZABLE:
             if self._device_count is not None:
                 yield from self._local()
@@ -468,11 +470,11 @@ class GuestLibrary:
         return count
 
     def cudaGetDeviceProperties(self, device: int = 0) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         return (yield from self._remote("cudaGetDeviceProperties", device))
 
     def cudaSetDevice(self, device: int) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         if classify("cudaSetDevice", self.flags) is ApiClass.LOCALIZABLE:
             if device != 0:
                 raise CudaError(cudaError.cudaErrorInvalidDevice, str(device))
@@ -482,13 +484,13 @@ class GuestLibrary:
 
     # --- memory ---
     def cudaMalloc(self, size: int) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         va = yield from self._remote("cudaMalloc", int(size))
         self._device_allocs[va] = int(size)
         return va
 
     def cudaFree(self, ptr: int) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         if ptr not in self._device_allocs:
             raise CudaError(cudaError.cudaErrorInvalidValue, f"{ptr:#x} not allocated")
         yield from self._remote("cudaFree", int(ptr))
@@ -497,7 +499,7 @@ class GuestLibrary:
 
     def memcpyH2D(self, dst: int, size: int, payload: Optional[np.ndarray] = None,
                   sync: bool = True, stream: int = 0) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         pay_bytes = int(payload.nbytes) if payload is not None else 0
         extra = max(0, int(size) - pay_bytes)
         args = (int(dst), int(size), payload, sync, stream)
@@ -508,7 +510,7 @@ class GuestLibrary:
         return None
 
     def memcpyD2H(self, src: int, size: int, stream: int = 0) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         data = yield from self._remote(
             "memcpyD2H", int(src), int(size), stream,
             reply_extra_bytes=int(size),
@@ -517,7 +519,7 @@ class GuestLibrary:
 
     def memcpyD2D(self, dst: int, src: int, size: int, sync: bool = True,
                   stream: int = 0) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         args = (int(dst), int(src), int(size), sync, stream)
         if not sync and classify("cudaMemcpyAsync", self.flags) is ApiClass.BATCHABLE:
             yield from self._enqueue("memcpyD2D", args)
@@ -527,7 +529,7 @@ class GuestLibrary:
 
     def cudaMemset(self, ptr: int, value: int, size: int, sync: bool = True,
                    stream: int = 0) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         args = (int(ptr), int(value), int(size), sync, stream)
         if not sync and classify("cudaMemsetAsync", self.flags) is ApiClass.BATCHABLE:
             yield from self._enqueue("cudaMemset", args)
@@ -536,7 +538,7 @@ class GuestLibrary:
         return None
 
     def cudaMallocHost(self, size: int) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         if classify("cudaMallocHost", self.flags) is ApiClass.LOCALIZABLE:
             yield from self._local()
             ptr = next(_local_ids)
@@ -550,7 +552,7 @@ class GuestLibrary:
         return ptr
 
     def cudaFreeHost(self, ptr: int) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         if ptr not in self._host_allocs:
             raise CudaError(cudaError.cudaErrorInvalidValue, f"{ptr:#x}")
         if classify("cudaFreeHost", self.flags) is ApiClass.LOCALIZABLE:
@@ -561,7 +563,7 @@ class GuestLibrary:
         return None
 
     def cudaPointerGetAttributes(self, ptr: int) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         if classify("cudaPointerGetAttributes", self.flags) is ApiClass.LOCALIZABLE:
             # "the guest library tracks the addresses returned by device
             # memory allocation functions" (§V-C)
@@ -595,7 +597,7 @@ class GuestLibrary:
 
     # --- kernels ---
     def cudaGetFunction(self, name: str) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         token = self._kernel_tokens.get(name)
         if token is not None:
             yield from self._local()
@@ -607,7 +609,7 @@ class GuestLibrary:
     def pushCallConfiguration(self, grid=(1, 1, 1), block=(1, 1, 1),
                               stream: int = 0) -> Generator:
         """``__cudaPushCallConfiguration``: emitted before every launch."""
-        self._intercept()
+        self.calls_intercepted += 1
         if classify("__cudaPushCallConfiguration", self.flags) is ApiClass.LOCALIZABLE:
             # piggybacked onto the launch itself (§V-C)
             yield from self._local()
@@ -620,7 +622,7 @@ class GuestLibrary:
     def cudaLaunchKernel(self, token: int, grid=(1, 1, 1), block=(1, 1, 1),
                          args: tuple = (), stream: int = 0,
                          work: Optional[float] = None) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         self._push_config = None
         call_args = (int(token), tuple(grid), tuple(block), tuple(args), stream, work)
         if classify("cudaLaunchKernel", self.flags) is ApiClass.BATCHABLE:
@@ -631,25 +633,25 @@ class GuestLibrary:
 
     # --- streams / events / sync ---
     def cudaStreamCreate(self) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         return (yield from self._remote("cudaStreamCreate"))
 
     def cudaStreamSynchronize(self, stream: int) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         yield from self._remote("cudaStreamSynchronize", stream)
         return None
 
     def cudaStreamDestroy(self, stream: int) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         yield from self._remote("cudaStreamDestroy", stream)
         return None
 
     def cudaEventCreate(self) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         return (yield from self._remote("cudaEventCreate"))
 
     def cudaEventRecord(self, event: int, stream: int = 0) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         if classify("cudaEventRecord", self.flags) is ApiClass.BATCHABLE:
             yield from self._enqueue("cudaEventRecord", (event, stream))
             return None
@@ -657,16 +659,16 @@ class GuestLibrary:
         return None
 
     def cudaEventSynchronize(self, event: int) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         yield from self._remote("cudaEventSynchronize", event)
         return None
 
     def cudaEventElapsedTime(self, start: int, end: int) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         return (yield from self._remote("cudaEventElapsedTime", start, end))
 
     def cudaMemGetInfo(self) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         if classify("cudaMemGetInfo", self.flags) is ApiClass.LOCALIZABLE:
             # the guest tracks its own allocations, and the budget is the
             # declared amount — answerable locally once known
@@ -679,18 +681,18 @@ class GuestLibrary:
         return (free, total)
 
     def cudaDeviceSynchronize(self) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         yield from self._remote("cudaDeviceSynchronize")
         return None
 
     # ======================= cuDNN surface =======================
 
     def cudnnCreate(self) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         return (yield from self._remote("cudnnCreate", self.flags.handle_pooling))
 
     def cudnnCreateDescriptor(self, kind: str) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         if classify("cudnnCreateDescriptor", self.flags) is ApiClass.LOCALIZABLE:
             # guest-side descriptor pool: reuse or mint locally (§V-C)
             yield from self._local()
@@ -706,7 +708,7 @@ class GuestLibrary:
         return (yield from self._remote("cudnnDescriptorOp", kind, "create"))
 
     def cudnnSetDescriptor(self, desc: int, **settings) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         if classify("cudnnSetDescriptor", self.flags) is ApiClass.LOCALIZABLE:
             yield from self._local()
             if desc in self._local_descriptors:
@@ -716,7 +718,7 @@ class GuestLibrary:
         return None
 
     def cudnnDestroyDescriptor(self, desc: int) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         if classify("cudnnDestroyDescriptor", self.flags) is ApiClass.LOCALIZABLE:
             yield from self._local()
             entry = self._local_descriptors.pop(desc, None)
@@ -728,7 +730,7 @@ class GuestLibrary:
 
     def cudnnOp(self, handle: int, op: str, work: float, sync: bool = False,
                 stream: int = 0) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         args = (int(handle), op, float(work), sync, stream)
         if not sync and classify("cudnnOpAsync", self.flags) is ApiClass.BATCHABLE:
             yield from self._enqueue("cudnnOp", args)
@@ -739,12 +741,12 @@ class GuestLibrary:
     # ======================= cuBLAS surface =======================
 
     def cublasCreate(self) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         return (yield from self._remote("cublasCreate", self.flags.handle_pooling))
 
     def cublasOp(self, handle: int, op: str, work: float, sync: bool = False,
                  stream: int = 0) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         args = (int(handle), op, float(work), sync, stream)
         if not sync and classify("cublasOpAsync", self.flags) is ApiClass.BATCHABLE:
             yield from self._enqueue("cublasOp", args)
@@ -758,22 +760,22 @@ class GuestLibrary:
     # state), so a crash mid-call surfaces to the platform for retry.
 
     def llmConfigure(self, **engine_kwargs) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         return (yield from self._remote("llmConfigure", **engine_kwargs))
 
     def llmSubmit(self, req_id: int, prompt_tokens: int,
                   output_tokens: int) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         return (yield from self._remote(
             "llmSubmit", int(req_id), int(prompt_tokens), int(output_tokens)
         ))
 
     def llmStep(self) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         return (yield from self._remote("llmStep"))
 
     def llmStats(self) -> Generator:
-        self._intercept()
+        self.calls_intercepted += 1
         return (yield from self._remote("llmStats"))
 
 

@@ -131,6 +131,7 @@ def write_flight_bundle(result, out_dir,
         "n_epochs": result.n_epochs,
         "n_envelopes": result.n_envelopes,
         "events_processed": result.events_processed,
+        "sleeps_elided": result.sleeps_elided,
         "merged_digest": result.merged_digest,
         "trace_digest": result.trace_digest,
         "n_span_records": len(tracer.records),

@@ -29,7 +29,9 @@ marks the scheduled entry dead and :meth:`Environment.step` drops it on pop
 without advancing time (removal from the middle of the structure would be
 O(n)).  Processed :class:`Timeout` objects that nobody else references are
 recycled through a free list, and :meth:`Environment.timeout_batch` creates
-many timeouts in one call for arrival processes.
+many timeouts in one call for arrival processes.  :meth:`Environment.sleep`
+advances the clock in place when the waiting process is the only thing that
+could run before its timeout would fire.
 
 The pre-wheel single-heap kernel survives as
 :class:`repro.sim.legacy.LegacyHeapEnvironment` — the order-parity oracle
@@ -436,6 +438,14 @@ class Environment:
         self.processes_created = 0
         #: Timeout objects served from the free list instead of allocated
         self.timeouts_recycled = 0
+        #: sleep() calls that advanced the clock in place; each one is an
+        #: event the timeout() version would have counted as processed
+        self.sleeps_elided = 0
+        #: the callback list _run_core is dispatching (None when step() or
+        #: nothing is) and the deadline of the innermost _run_core: the
+        #: two facts sleep() needs to know its timeout would pop next
+        self._dispatching: Optional[list] = None
+        self._deadline = -_INF
         # -- calendar queue state -------------------------------------------
         self._width = float(bucket_width)
         #: multiply-by-inverse replaces division on the per-event path; the
@@ -489,6 +499,7 @@ class Environment:
             "processes_created": self.processes_created,
             "events_pending": self._pending_count(),
             "timeouts_recycled": self.timeouts_recycled,
+            "sleeps_elided": self.sleeps_elided,
         }
 
     # -- event construction ------------------------------------------------
@@ -532,6 +543,37 @@ class Environment:
         else:
             _heappush(self._overflow, entry)
         return t
+
+    def sleep(self, delay: float) -> Generator:
+        """Wait ``delay`` in the calling process: ``yield from env.sleep(d)``.
+
+        Same timeline as ``yield env.timeout(d)``, for a wait nobody else
+        holds.  When :meth:`_run_core` is dispatching an event whose only
+        callback is the caller's resume, ``now + d`` is within the run's
+        deadline and nothing is queued at or before ``now + d``, that
+        Timeout would be the next event popped with the caller as its only
+        waiter.  Then the clock advances in place (the same float sum
+        :meth:`timeout` computes, and the eid it would have taken, so every
+        later eid is unchanged) and the caller never suspends.  Otherwise
+        it yields a real Timeout; :meth:`step`, a traced run and the legacy
+        kernel always take that path.
+        """
+        callbacks = self._dispatching
+        proc = self._active_process
+        if (
+            callbacks is not None
+            and proc is not None
+            and len(callbacks) == 1
+            and callbacks[0] == proc._resume
+            and delay >= 0
+        ):
+            when = self._now + delay
+            if when <= self._deadline and self.peek() > when:
+                self._now = when
+                self._eid += 1
+                self.sleeps_elided += 1
+                return
+        yield self.timeout(delay)
 
     def timeout_batch(self, delays: Iterable[float], value: Any = None) -> list:
         """Create one :class:`Timeout` per delay in a single call.
@@ -718,6 +760,9 @@ class Environment:
         if trace is not None:
             trace.append((when, priority, eid))
         callbacks, event.callbacks = event.callbacks, None
+        # A process resumed here never advances the clock in place: step()
+        # processes one event and has no deadline to check against.
+        self._dispatching = None
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:
@@ -748,6 +793,10 @@ class Environment:
         if self._pop_trace is not None:
             self._run_core_traced(deadline)
             return
+        # sleep() reads the innermost run's deadline; a nested run restores
+        # its caller's on exit
+        outer_deadline = self._deadline
+        self._deadline = deadline
         advance = self._advance
         pool = self._timeout_pool
         processed = 0
@@ -809,6 +858,7 @@ class Environment:
                             pos = 0
                         self._cur_pos = pos
                         self._now = when
+                        self._dispatching = callbacks
                         try:
                             for callback in callbacks:
                                 callback(event)
@@ -861,6 +911,8 @@ class Environment:
             # on every exit (deadline return, drain, or exception).
             self._now = now
             self.events_processed += processed
+            self._deadline = outer_deadline
+            self._dispatching = None
 
     def _run_core_traced(self, deadline: float) -> None:
         """The :meth:`_run_core` loop with the ``_pop_trace`` hook live.

@@ -293,6 +293,7 @@ class ShardSim:
             "shard_id": spec.shard_id,
             "groups": list(spec.groups),
             "events_processed": self.env.events_processed,
+            "sleeps_elided": self.env.sleeps_elided,
             "processes_created": self.env.processes_created,
             "envelopes_sent": sum(p.sent for p in self.ctx._ports.values()),
             "envelopes_received": sum(p.received for p in self.ctx._ports.values()),
@@ -466,6 +467,9 @@ class ShardRunResult:
     n_epochs: int = 0
     n_envelopes: int = 0
     events_processed: int = 0
+    #: waits that advanced a shard's clock in place; each is one event the
+    #: Timeout version of the run would have added to events_processed
+    sleeps_elided: int = 0
     wall_s: float = 0.0
     #: merged MetricsRegistry; always present, always carrying the
     #: ``shard.*`` sync-layer instruments (plus whatever the spec's
@@ -658,6 +662,7 @@ def run_sharded(
     for harvest in harvests:
         result.shards.append(harvest)
         result.events_processed += harvest["events_processed"]
+        result.sleeps_elided += harvest["sleeps_elided"]
         for g, row in harvest["rows"].items():
             if g in merged:
                 raise SimulationError(f"group {g} reported by two shards")

@@ -124,7 +124,7 @@ class VendorLibrary:
         if work < 0:
             raise CudaError(cudaError.cudaErrorInvalidValue, "negative work")
         fptr = self.context.get_function("timed")
-        yield self.env.timeout(self.costs.kernel_launch_s)
+        yield from self.env.sleep(self.costs.kernel_launch_s)
         return self.context.launch_kernel(
             fptr, Dim3(1), Dim3(1), (work,), stream_handle=stream
         )

@@ -31,8 +31,11 @@ class DgsfWorld:
         """Manually wire a guest library to an API server (bypassing the
         platform) — used by tests that poke the remoting layer directly.
 
-        Extra keyword arguments are forwarded to :class:`GuestLibrary`
-        (e.g. ``rpc_timeout_s`` for fault-path tests)."""
+        ``kernel_names`` are the kernels the attach registers (None: every
+        kernel of the deployment; ``[]``: none, so a kernel's first
+        ``cudaGetFunction`` goes remote).  Extra keyword arguments are forwarded to
+        :class:`GuestLibrary` (e.g. ``rpc_timeout_s`` for fault-path
+        tests)."""
         if api_server is None:
             api_server = self.gpu_server.api_servers[0]
         conn = self.dep.network.connect(self.dep.fn_host, self.dep.gpu_host)
@@ -45,7 +48,9 @@ class DgsfWorld:
             costs=self.dep.costs,
             **guest_kwargs,
         )
-        self.drive(guest.attach(kernel_names or self.dep.kernels.names()))
+        if kernel_names is None:
+            kernel_names = self.dep.kernels.names()
+        self.drive(guest.attach(kernel_names))
         return guest, api_server, rpc_server
 
     def detach_guest(self, guest, api_server, rpc_server):

@@ -132,6 +132,19 @@ def test_async_memset_is_batched_and_applies(opt):
     world.drive(guest.cudaFree(ptr))
 
 
+def test_empty_kernel_attach_resolves_functions_remotely(opt_world):
+    """``attach_guest(kernel_names=[])`` registers no kernels, so the
+    first ``cudaGetFunction`` is a round trip and the second is local."""
+    world = opt_world
+    guest, server, rpc = world.attach_guest(kernel_names=[])
+    before = guest.calls_forwarded
+    token = world.drive(guest.cudaGetFunction("timed"))
+    assert guest.calls_forwarded == before + 1
+    assert world.drive(guest.cudaGetFunction("timed")) == token
+    assert guest.calls_forwarded == before + 1
+    world.detach_guest(guest, server, rpc)
+
+
 def test_large_batch_flushes_at_threshold(opt):
     world, guest = opt
     fptr = world.drive(guest.cudaGetFunction("timed"))

@@ -63,6 +63,8 @@ def test_bundle_writes_every_file_and_validates(bundle, traced_result):
     assert manifest["trace_digest"] == traced_result.trace_digest
     assert manifest["merged_digest"] == traced_result.merged_digest
     assert manifest["n_span_records"] == len(traced_result.tracer.records)
+    assert manifest["events_processed"] == traced_result.events_processed
+    assert manifest["sleeps_elided"] == traced_result.sleeps_elided
     assert validate_flight_bundle(out_dir) == []
 
 

@@ -52,6 +52,12 @@ def test_dgsf_outcome_invariant_across_shard_layouts():
     for row in solo.merged.values():
         assert row["outcomes"]["total"] == row["n"] >= 1
         assert row["outcomes"]["all_terminal"]
+    # each shard's elided sleeps are events its Timeout version would have
+    # processed; the result sums both counters over the shards
+    assert split.events_processed == sum(
+        h["events_processed"] for h in split.shards)
+    assert split.sleeps_elided == sum(h["sleeps_elided"] for h in split.shards)
+    assert all(h["sleeps_elided"] > 0 for h in split.shards)
 
 
 def test_dgsf_merged_outcome_is_seed_stable():
