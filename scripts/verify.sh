@@ -21,13 +21,20 @@ else
     PYTHONPATH=src python -m pytest -x -q "$@"
 fi
 
-echo "== paper benchmarks on the migration and recovery paths =="
-# Fig. 8 (migration case study), Table V, the Table I migration
-# strategies and crash recovery.
+echo "== §VIII-E migration experiment (experiments migration) =="
+# The defaults are the committed BENCH_migration.json's parameters (seed 0,
+# copies 10, which it does not use): six plan runs give Fig. 8 and the
+# migration confirmation-window ablation, plus Table V's microbenchmark
+# and the Table I migration strategies.  The run fails itself if any of
+# their claims stops holding.
+MIGRATION_OUT="${MIGRATION_BENCH_OUT:-/tmp/dgsf-bench-migration.json}"
+PYTHONPATH=src python -m repro.experiments migration --out "$MIGRATION_OUT"
+
+echo "== migration-bench regression gate (bench_compare) =="
+python scripts/bench_compare.py BENCH_migration.json "$MIGRATION_OUT"
+
+echo "== crash-recovery benchmark =="
 PYTHONPATH=src python -m pytest -q --benchmark-disable \
-    benchmarks/test_fig8.py benchmarks/test_table5.py \
-    benchmarks/test_ablation_migration.py \
-    benchmarks/test_ablation_migration_strategies.py \
     benchmarks/test_ablation_faults.py
 
 echo "== full-stack benchmark smoke (bench/tests) =="
@@ -54,6 +61,12 @@ PYTHONPATH=src python -m repro.experiments sched --seed 3 --copies 4 \
 
 echo "== perf-regression gate (bench_compare) =="
 python scripts/bench_compare.py BENCH_sched.json "$SCHED_OUT"
+
+echo "== critical-path ablation (experiments critpath) =="
+# The bottleneck moves: gpu_compute uncontended, more wire with every
+# optimization off, queue at one GPU.  The run fails itself if a claim
+# stops holding.
+PYTHONPATH=src python -m repro.experiments critpath --copies 2
 
 echo "== §VIII-B/C runtimes experiment (experiments runtimes) =="
 # The defaults are the committed BENCH_runtimes.json's parameters (seed 0,

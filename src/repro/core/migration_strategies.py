@@ -17,8 +17,9 @@ approaches:
   create enough space for another function").
 
 Both are implemented here against the same API-server machinery so the
-trade-offs can be measured (``benchmarks/test_ablation_migration_strategies.py``),
-reproducing the argument of Table I quantitatively.
+trade-offs can be measured (the ``strategies`` section of
+``python -m repro.experiments migration``), reproducing the argument of
+Table I quantitatively.
 """
 
 from __future__ import annotations

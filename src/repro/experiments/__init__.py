@@ -3,11 +3,12 @@
 :mod:`repro.experiments.runtimes` simulates each §VIII-B/C single-invocation
 configuration once and derives Table II and Figs. 3–4 from the runs;
 :mod:`repro.experiments.sharing` does the same for §VIII-D's sharing
-runs (Tables III–IV, Figs. 5–7).  The other modules are one per table,
-figure or ablation.  Each module returns plain dict rows (consumed by the
-benchmarks, the CLI and :mod:`repro.experiments.reporting`'s text
-renderer); the ones that write a committed ``BENCH_*.json`` expose
-``sections(...)``.
+runs (Tables III–IV, Figs. 5–7), and :mod:`repro.experiments.migration`
+for §VIII-E (Fig. 8, Table V and the confirmation-window and
+migration-strategy ablations).  The other modules are one per ablation.
+Each module returns plain dict rows (consumed by the CLI and
+:mod:`repro.experiments.reporting`'s text renderer); the ones that write
+a committed ``BENCH_*.json`` expose ``sections(...)``.
 """
 
 from repro.experiments.runner import (
@@ -17,9 +18,8 @@ from repro.experiments.runner import (
 )
 from repro.experiments import (
     runtimes,
-    table5,
-    fig8,
     sharing,
+    migration,
     sched_ablation,
     critpath_ablation,
     shard_ablation,
@@ -32,9 +32,8 @@ __all__ = [
     "run_scenario",
     "ScenarioResult",
     "runtimes",
-    "table5",
-    "fig8",
     "sharing",
+    "migration",
     "sched_ablation",
     "critpath_ablation",
     "shard_ablation",

@@ -3,15 +3,16 @@
 Usage::
 
     python -m repro.experiments runtimes     # Table II, Figs. 3-4
-    python -m repro.experiments fig8
+    python -m repro.experiments migration    # Fig. 8, Table V
     python -m repro.experiments all          # everything (several minutes)
     python -m repro.experiments sharing      # Tables III-IV, Figs. 5-7
     python -m repro.experiments sched --seed 3 --copies 4 --out BENCH_sched.json
 
-``runtimes``, ``sharing``, ``sched``, ``llm`` and ``shard`` write their committed
-``BENCH_*.json`` baseline with ``--out``: a header (``experiment``,
-``seed``, ``copies``, ``python``, ``cpu_count``, ``wall_seconds`` and the
-module's ``gates`` declaration) followed by the module's sections.
+``runtimes``, ``sharing``, ``migration``, ``sched``, ``llm`` and ``shard``
+write their committed ``BENCH_*.json`` baseline with ``--out``: a header
+(``experiment``, ``seed``, ``copies``, ``python``, ``cpu_count``,
+``wall_seconds`` and the module's ``gates`` declaration) followed by the
+module's sections.
 ``scripts/bench_compare.py`` gates a fresh file against the committed one
 by the baseline's declared gates.
 """
@@ -27,14 +28,13 @@ import time
 from pathlib import Path
 
 from repro.experiments import (
-    runtimes, table5, fig8, sharing,
+    runtimes, sharing, migration,
     sched_ablation, critpath_ablation, shard_ablation, llm_ablation,
     render_table,
 )
 
 EXPERIMENTS = [
-    "runtimes", "sharing", "fig8", "table5", "sched", "critpath", "shard",
-    "llm",
+    "runtimes", "sharing", "migration", "sched", "critpath", "shard", "llm",
 ]
 
 
@@ -42,6 +42,7 @@ EXPERIMENTS = [
 BASELINES = {
     "runtimes": (runtimes, "§VIII-B/C runtimes — Table II, Figs. 3-4"),
     "sharing": (sharing, "§VIII-D sharing — Tables III-IV, Figs. 5-7"),
+    "migration": (migration, "§VIII-E migration — Fig. 8, Table V, ablations"),
     "sched": (sched_ablation,
               "Scheduler ablation — queue wait by size class (s)"),
     "llm": (llm_ablation,
@@ -92,11 +93,6 @@ def run_one(name: str, seed: int, copies: int, trace_dir: str = None,
     t0 = time.time()
     if name in BASELINES:
         run_baseline(name, seed, copies, trace_dir=trace_dir, out=out)
-    elif name == "fig8":
-        out = fig8.run(seed=seed, sample_utilization=False)
-        _print_rows("Figure 8 — migration case study (s)", out["summary"])
-    elif name == "table5":
-        _print_rows("Table V — migration microbenchmark (s)", table5.run())
     elif name == "critpath":
         _print_rows(
             "Critical-path ablation — dominant resource by setting",

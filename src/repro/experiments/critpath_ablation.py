@@ -10,8 +10,11 @@ median and the tail.  The point of the ablation is that the bottleneck
 * ``light_opt`` — uncontended, optimizations on: time is the work itself
   (object-store downloads + GPU compute).
 * ``light_unopt`` — uncontended, every optimization off: each CUDA call
-  becomes its own synchronous round trip, so wire/serialization time
-  swamps compute (the paper's Fig. 4 motivation, seen from the trace).
+  becomes its own synchronous round trip.  GPU compute still dominates,
+  but the wire's share of the critical path grows (at seed 0, copies 2,
+  its median share 0.06 -> 0.15 and its p95 share 0.18 -> 0.43), and
+  serialization stays at zero: the paper's Fig. 4 motivation, seen from
+  the trace.
 * ``heavy_fcfs`` — the same mix crammed onto one GPU under FCFS: the
   §VIII-D queue dominates end-to-end latency.
 * ``heavy_mqfq`` — contention again but dispatched by MQFQ fair
@@ -19,16 +22,19 @@ median and the tail.  The point of the ablation is that the bottleneck
   function classes.
 
 Each setting also validates attribution coverage: the critical path must
-explain >= 95% of every root span's wall time.
+explain >= 95% of every root span's wall time.  :func:`run` ends with
+:func:`check`, which raises :class:`SimulationError` naming the first of
+these claims that its rows break.
 """
 
 from __future__ import annotations
 
 from repro.core.config import DgsfConfig, OptimizationFlags
+from repro.errors import SimulationError
 from repro.experiments.runner import make_plan, run_scenario
 from repro.obs import aggregate_critpaths, invocation_critpaths
 
-__all__ = ["run", "run_settings", "SETTINGS", "MIN_COVERAGE"]
+__all__ = ["run", "run_settings", "check", "SETTINGS", "MIN_COVERAGE"]
 
 #: attribution floor every invocation must meet (fraction of root wall
 #: time explained by non-root spans on the critical path)
@@ -120,8 +126,52 @@ def run(seed: int = 0, copies: int = 2) -> list[dict]:
             "p50_share": round(p50_stats["share_p50"], 3),
             "bottleneck_p95": top["p95"],
             "p95_share": round(p95_stats["share_p95"], 3),
+            "wire_p50_share": round(agg["resources"]["wire"]["share_p50"], 3),
             "e2e_p50_s": round(agg["e2e"]["p50"], 2),
             "e2e_p95_s": round(agg["e2e"]["p95"], 2),
             "coverage_min": round(agg["coverage_min"], 4),
         })
+    check(table)
     return table
+
+
+def _claim(holds: bool, claim: str) -> None:
+    if not holds:
+        raise SimulationError(f"critical-path claim broken: {claim}")
+
+
+def check(rows: list[dict]) -> None:
+    """Raise :class:`SimulationError` naming the first broken claim."""
+    cell = {row["setting"]: row for row in rows}
+    _claim(set(cell) == set(SETTINGS),
+           f"one row per setting ({sorted(cell)})")
+    for name, row in cell.items():
+        _claim(row["coverage_min"] >= MIN_COVERAGE,
+               f"{name} covers at least {MIN_COVERAGE:.0%} of every "
+               f"invocation ({row['coverage_min']})")
+    # the dominant resource moves across settings: a profiler that always
+    # blames the same thing is useless
+    bottlenecks = {row["bottleneck_p50"] for row in rows}
+    _claim(len(bottlenecks) >= 2,
+           f"the median bottleneck differs across settings ({bottlenecks})")
+    # uncontended and optimized, the work itself dominates
+    light = cell["light_opt"]
+    _claim(light["bottleneck_p50"] == "gpu_compute",
+           f"light_opt's median bottleneck is gpu_compute "
+           f"({light['bottleneck_p50']})")
+    # every optimization off, each CUDA call crosses the wire on its own
+    unopt = cell["light_unopt"]
+    _claim(unopt["wire_p50_share"] > light["wire_p50_share"],
+           f"light_unopt's median wire share exceeds light_opt's "
+           f"({unopt['wire_p50_share']} vs {light['wire_p50_share']})")
+    # single-GPU contention: queueing dominates under either discipline,
+    # with a larger median share than when uncontended
+    light_queue = light["p50_share"] if light["bottleneck_p50"] == "queue" \
+        else 0.0
+    for name in ("heavy_fcfs", "heavy_mqfq"):
+        _claim(cell[name]["bottleneck_p50"] == "queue",
+               f"{name}'s median bottleneck is queue "
+               f"({cell[name]['bottleneck_p50']})")
+    _claim(cell["heavy_fcfs"]["p50_share"] > light_queue,
+           f"heavy_fcfs's median queue share exceeds light_opt's "
+           f"({cell['heavy_fcfs']['p50_share']} vs {light_queue})")

@@ -260,12 +260,13 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield.
 
-        Interrupting a dead process is an error; interrupting a process
-        that is waiting on an event detaches it from that event first.
+        Interrupting a dead process, or the running process itself, is an
+        error.  The interrupt is delivered by an urgent event at the current
+        time: see :meth:`_deliver_interrupt`.
         """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt dead process {self.name!r}")
-        if self._target is self:
+        if self.env._active_process is self:
             raise SimulationError("a process cannot interrupt itself")
         # Deliver asynchronously via a failed urgent event so interrupts
         # interleave deterministically with the event queue.
@@ -273,16 +274,29 @@ class Process(Event):
         event._ok = False
         event._value = Interrupt(cause)
         event._defused = True
-        event.callbacks.append(self._resume)
+        event.callbacks.append(self._deliver_interrupt)
         self.env._schedule(event, URGENT, 0.0)
-        # Detach from the event we were waiting on (it may still fire, but
-        # must no longer resume us).
-        if self._target is not None and self._target.callbacks is not None:
+
+    def _deliver_interrupt(self, event: Event) -> None:
+        """Throw the interrupt into the process as it stands at delivery.
+
+        Between :meth:`interrupt` and delivery the process may have run on:
+        a co-waiter of an event being dispatched still wakes from it, and
+        may then wait on something else or finish.  So the interrupt is
+        dropped if the process has died, and otherwise detaches it from
+        whatever it waits on now (that event may still fire, but must no
+        longer resume it).
+        """
+        if not self.is_alive:
+            return
+        target = self._target
+        if target is not None and target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-            self._target = None
+        self._target = None
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""

@@ -58,9 +58,9 @@ DISCIPLINE_GOLDENS = {
     "sff_aged": (190.80676231822642, 1737.078470391451),
     "mqfq": (178.45615095292126, 1609.4807497078716),
 }
-#: Fig. 8's best-fit + migration scenario (seed 0): the one migration as
-#: (server, source GPU, target GPU, moved bytes, duration) and each
-#: invocation's e2e in submission order
+#: Fig. 8's best-fit + migration scenario (``migration.scenario``, seed
+#: 0): the one migration as (server, source GPU, target GPU, moved bytes,
+#: duration) and each invocation's e2e in submission order
 FIG8_MIGRATION_RECORD = (0, 0, 1, 4_120_844_697, 0.9313608859842191)
 FIG8_MIGRATION_E2E = [
     54.78045926204719,
@@ -115,7 +115,7 @@ NATIVE_TIMELINES = {
     ("image_classification", "cpu"): (71.70900379428572, {
         "download": 5.0090037942857135, "processing": 66.7}),
 }
-#: Table V's native column: ``table5._run_native(mb)`` per array size
+#: Table V's native column: ``migration.native_s(mb)`` per array size
 TABLE5_NATIVE = {
     323: 3.211308286845008,
     3514: 3.2229290718723,
@@ -240,25 +240,15 @@ def test_metrics_do_not_depend_on_process_history():
 
 
 def test_fig8_migration_timeline_is_bit_identical():
-    from repro.core.deployment import DgsfDeployment
-    from repro.experiments.fig8 import SCENARIOS
-    from repro.workloads import register_workloads
+    from repro.experiments import migration
 
-    overrides = dict(SCENARIOS)["sharing2_best_fit_migration"]
-    dep = DgsfDeployment(DgsfConfig(num_gpus=2, seed=0, **overrides))
-    dep.setup()
-    register_workloads(dep.platform, names=["nlp_qa", "image_classification"])
-    started = [
-        dep.platform.invoke(name)
-        for name in ("nlp_qa", "nlp_qa", "image_classification", "image_classification")
-    ]
-    dep.env.run(until=dep.env.all_of([proc for _, proc in started]))
-    [record] = dep.gpu_server.monitor.migration_records
+    result = migration.scenario("sharing2_best_fit_migration", seed=0)
+    [record] = result.deployment.gpu_server.monitor.migration_records
     assert (
         record.server_id, record.source_device, record.target_device,
         record.moved_bytes, record.duration_s,
     ) == FIG8_MIGRATION_RECORD
-    assert [inv.e2e_s for inv, _ in started] == FIG8_MIGRATION_E2E
+    assert [inv.e2e_s for inv in result.invocations] == FIG8_MIGRATION_E2E
 
 
 def test_every_migration_strategy_duration_is_bit_identical():
@@ -284,10 +274,10 @@ def test_native_and_cpu_timelines_are_bit_identical():
 
 
 def test_table5_native_runs_are_bit_identical():
-    from repro.experiments import table5
+    from repro.experiments import migration
 
     for array_mb, seconds in TABLE5_NATIVE.items():
-        assert table5._run_native(array_mb) == seconds, array_mb
+        assert migration.native_s(array_mb) == seconds, array_mb
 
 
 #: runs one bench workload the way ``bench/run.py`` does, minus the

@@ -61,7 +61,7 @@ def test_experiments_cli_runs(capsys):
     """The `python -m repro.experiments` entry point works."""
     from repro.experiments.__main__ import main
 
-    main(["table5"])
+    main(["migration"])
     out = capsys.readouterr().out
     assert "Table V" in out
     assert "13194" in out

@@ -264,6 +264,86 @@ def test_interrupt_process_whose_target_already_triggered():
     assert log == ["interrupted:evict", "done"]
 
 
+@pytest.mark.parametrize("env_cls", [Environment, LegacyHeapEnvironment])
+def test_interrupting_a_co_waiter_of_the_event_being_dispatched(env_cls):
+    """Two processes wait on one event and the first, on waking,
+    interrupts the second.  The second still wakes from the event (its
+    resume was already taken for dispatch), then takes the Interrupt at
+    its next wait, and that wait must not resume it a second time."""
+    env = env_cls()
+    gate = env.event()
+    log = []
+
+    def first():
+        yield gate
+        victim.interrupt("evict")
+
+    def second():
+        yield gate
+        log.append((env.now, "woke"))
+        try:
+            yield env.timeout(3)
+            log.append((env.now, "timeout"))
+        except Interrupt as intr:
+            log.append((env.now, f"interrupted:{intr.cause}"))
+        yield env.timeout(10)
+        log.append((env.now, "done"))
+        return "finished"
+
+    def opener():
+        yield env.timeout(1)
+        gate.succeed()
+
+    env.process(first())
+    victim = env.process(second())
+    env.process(opener())
+    env.run()
+    assert log == [(1, "woke"), (1, "interrupted:evict"), (11, "done")]
+    assert victim.value == "finished"
+
+
+@pytest.mark.parametrize("env_cls", [Environment, LegacyHeapEnvironment])
+def test_interrupt_of_a_process_that_ends_first_is_dropped(env_cls):
+    """The victim wakes from the shared event and returns before the
+    interrupt is delivered: the interrupt must not touch the finished
+    generator or reschedule its process event."""
+    env = env_cls()
+    gate = env.event()
+
+    def first():
+        yield gate
+        victim.interrupt("late")
+
+    def second():
+        yield gate
+        return "finished"
+
+    env.process(first())
+    victim = env.process(second())
+    gate.succeed()
+    env.run()
+    assert victim.ok and victim.value == "finished"
+
+
+@pytest.mark.parametrize("env_cls", [Environment, LegacyHeapEnvironment])
+def test_a_process_cannot_interrupt_itself(env_cls):
+    env = env_cls()
+    log = []
+
+    def selfish():
+        yield env.timeout(1)
+        try:
+            env.active_process.interrupt("me")
+        except SimulationError as exc:
+            log.append(str(exc))
+        yield env.timeout(1)
+        log.append((env.now, "done"))
+
+    env.process(selfish())
+    env.run()
+    assert log == ["a process cannot interrupt itself", (2, "done")]
+
+
 def test_condition_over_duplicate_and_already_processed_events():
     env = Environment()
 

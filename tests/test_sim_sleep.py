@@ -231,14 +231,11 @@ def _execute(program, env, mode):
     interrupt_pending = [False] * len(scripts)
 
     def interruptible(target):
-        # A shared event being dispatched has already detached its callback
-        # list, so an interrupt could no longer unsubscribe its waiters
-        # (the kernel would resume them twice); only interrupt a process
-        # whose event has not fired yet.
-        on = waiting_on[target]
-        if on is None or interrupt_pending[target]:
-            return False
-        return on == "wait" or not on.processed
+        # Any suspended process with no interrupt in flight, a co-waiter of
+        # the shared event being dispatched included: it still wakes from
+        # the event and takes the interrupt at its next wait, or drops it
+        # if it ends first.
+        return waiting_on[target] is not None and not interrupt_pending[target]
 
     def suspend(i, on, gen):
         waiting_on[i] = on
