@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="
-    ruff check src tests benchmarks scripts
+    ruff check src tests scripts
 else
     echo "== ruff not installed; skipping lint =="
 fi
@@ -33,9 +33,18 @@ PYTHONPATH=src python -m repro.experiments migration --out "$MIGRATION_OUT"
 echo "== migration-bench regression gate (bench_compare) =="
 python scripts/bench_compare.py BENCH_migration.json "$MIGRATION_OUT"
 
-echo "== crash-recovery benchmark =="
-PYTHONPATH=src python -m pytest -q --benchmark-disable \
-    benchmarks/test_ablation_faults.py
+echo "== §II/§IV/§V-A provisioning experiment (experiments provisioning) =="
+# The defaults are the committed BENCH_provisioning.json's parameters
+# (seed 0, copies 10, which it does not use): §II's batch-size
+# utilization on one GPU, one plan on 1/2/4/8 GPUs and on two 2-GPU
+# servers (6 plan runs), and the §V-A crash-recovery sweep.  The run
+# fails itself if any of their claims stops holding.
+PROVISIONING_OUT="${PROVISIONING_BENCH_OUT:-/tmp/dgsf-bench-provisioning.json}"
+PYTHONPATH=src python -m repro.experiments provisioning \
+    --out "$PROVISIONING_OUT"
+
+echo "== provisioning-bench regression gate (bench_compare) =="
+python scripts/bench_compare.py BENCH_provisioning.json "$PROVISIONING_OUT"
 
 echo "== full-stack benchmark smoke (bench/tests) =="
 # Runs every bench/ workload for --seconds 1, untraced and traced: each

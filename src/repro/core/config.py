@@ -90,8 +90,6 @@ class DgsfConfig:
     backend_policy: str = "least_loaded"
     #: enable monitor-driven migration (§V-D)
     migration_enabled: bool = False
-    #: imbalance check period for the monitor
-    monitor_period_s: float = 0.5
     #: consecutive imbalance observations required before migrating — a
     #: transient idle GPU (e.g. a function still downloading) must not
     #: trigger a move
@@ -100,11 +98,6 @@ class DgsfConfig:
     optimizations: OptimizationFlags = field(default_factory=OptimizationFlags)
     #: experiment seed (drives arrivals, jitter, input selection)
     seed: int = 0
-    #: how many cuDNN/cuBLAS handle twins each per-GPU shared pool
-    #: precreates.  Kept small: each set costs 456 MB of device memory and
-    #: the largest workload (face detection, ~13.2 GB) must still fit on a
-    #: GPU next to the static footprints.
-    pool_handles_per_gpu: int = 1
     #: faults to inject (None = perfect hardware, the default)
     fault_plan: Optional[FaultPlan] = None
     #: guest RPC reply deadline; 0 disables timeouts (waits forever)
@@ -113,17 +106,11 @@ class DgsfConfig:
     rpc_max_retries: int = 2
     #: base of the bounded exponential backoff between retries
     rpc_retry_backoff_s: float = 0.25
-    #: monitor declares an API server dead after this long without a
-    #: §V-A ③ stats heartbeat (heartbeats arrive every monitor_period_s/2)
-    heartbeat_timeout_s: float = 2.0
     #: capacity of each API server's artifact cache (bytes).  Repeat
     #: invocations on the same server skip the object-store download for
     #: cached artifacts; 0 (the default) disables caching entirely so the
     #: download path is untouched.
     artifact_cache_bytes: int = 0
-    #: backpressure bound for async forwarding: at most this many
-    #: enqueue-only calls may be unharvested in flight per guest
-    async_max_in_flight: int = 64
     #: record nested sim-time spans for every invocation into a
     #: :class:`repro.obs.Tracer` (Chrome trace-event export).  Tracing is
     #: pure bookkeeping — it creates no events and draws no RNG — so the
@@ -158,20 +145,14 @@ class DgsfConfig:
             raise ConfigurationError(
                 f"unknown backend policy {self.backend_policy!r}"
             )
-        if self.monitor_period_s <= 0:
-            raise ConfigurationError("monitor_period_s must be positive")
         if self.rpc_timeout_s < 0:
             raise ConfigurationError("rpc_timeout_s must be non-negative")
         if self.rpc_max_retries < 0:
             raise ConfigurationError("rpc_max_retries must be non-negative")
         if self.rpc_retry_backoff_s < 0:
             raise ConfigurationError("rpc_retry_backoff_s must be non-negative")
-        if self.heartbeat_timeout_s <= 0:
-            raise ConfigurationError("heartbeat_timeout_s must be positive")
         if self.artifact_cache_bytes < 0:
             raise ConfigurationError("artifact_cache_bytes must be non-negative")
-        if self.async_max_in_flight <= 0:
-            raise ConfigurationError("async_max_in_flight must be positive")
         if self.trace_max_spans <= 0:
             raise ConfigurationError("trace_max_spans must be positive")
         if self.llm_max_decode_batch <= 0:

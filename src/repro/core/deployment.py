@@ -419,7 +419,6 @@ class DgsfGpuProvider:
                 rpc_timeout_s=dep.config.rpc_timeout_s,
                 rpc_max_retries=dep.config.rpc_max_retries,
                 rpc_retry_backoff_s=dep.config.rpc_retry_backoff_s,
-                async_max_in_flight=dep.config.async_max_in_flight,
                 metrics=dep.metrics,
                 tracer=dep.tracer,
                 span=fc.invocation._span,

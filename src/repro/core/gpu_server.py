@@ -35,6 +35,12 @@ from repro.core.handlepool import HandlePools
 from repro.core.monitor import Monitor
 from repro.core.policies import make_policy
 
+#: cuDNN/cuBLAS handle twins each per-GPU shared pool precreates.  Kept
+#: small: each set costs 456 MB of device memory and the largest workload
+#: (face detection, ~13.2 GB) must still fit on a GPU next to the static
+#: footprints.
+POOL_HANDLES_PER_GPU = 1
+
 __all__ = ["GpuServer"]
 
 
@@ -79,10 +85,8 @@ class GpuServer:
             self,
             policy=make_policy(config.policy),
             migration_enabled=config.migration_enabled,
-            period_s=config.monitor_period_s,
             confirm_checks=config.migration_confirm_checks,
             queue_discipline=config.queue_discipline,
-            heartbeat_timeout_s=config.heartbeat_timeout_s,
             sff_aging_factor=config.sff_aging_factor,
             mqfq_throttle_window_s=config.mqfq_throttle_window_s,
             metrics=self.metrics,
@@ -124,7 +128,7 @@ class GpuServer:
     def _setup_slot(self, device: SimGPU) -> Generator:
         ctx = yield from CudaContext.create(self.env, device, self.kernels)
         self._migration_slots[device.device_id] = ctx
-        yield from self.pools.prefill(ctx, self.config.pool_handles_per_gpu)
+        yield from self.pools.prefill(ctx, POOL_HANDLES_PER_GPU)
 
     # -- migration slots -----------------------------------------------------------
     def migration_slot_available(self, device_id: int) -> bool:

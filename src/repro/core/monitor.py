@@ -107,6 +107,8 @@ class Monitor:
             mqfq_throttle_window_s=mqfq_throttle_window_s,
         )
         self.migration_enabled = migration_enabled
+        #: imbalance and health check period; API servers send their
+        #: §V-A ③ stats heartbeat every half period
         self.period_s = period_s
         self.confirm_checks = max(1, confirm_checks)
         self._imbalance_streak = 0

@@ -4,15 +4,16 @@ Usage::
 
     python -m repro.experiments runtimes     # Table II, Figs. 3-4
     python -m repro.experiments migration    # Fig. 8, Table V
+    python -m repro.experiments provisioning # §II, §IV GPU count/servers, §V-A faults
     python -m repro.experiments all          # everything (several minutes)
     python -m repro.experiments sharing      # Tables III-IV, Figs. 5-7
     python -m repro.experiments sched --seed 3 --copies 4 --out BENCH_sched.json
 
-``runtimes``, ``sharing``, ``migration``, ``sched``, ``llm`` and ``shard``
-write their committed ``BENCH_*.json`` baseline with ``--out``: a header
-(``experiment``, ``seed``, ``copies``, ``python``, ``cpu_count``,
-``wall_seconds`` and the module's ``gates`` declaration) followed by the
-module's sections.
+``runtimes``, ``sharing``, ``migration``, ``provisioning``, ``sched``,
+``llm`` and ``shard`` write their committed ``BENCH_*.json`` baseline
+with ``--out``: a header (``experiment``, ``seed``, ``copies``,
+``python``, ``cpu_count``, ``wall_seconds`` and the module's ``gates``
+declaration) followed by the module's sections.
 ``scripts/bench_compare.py`` gates a fresh file against the committed one
 by the baseline's declared gates.
 """
@@ -28,13 +29,14 @@ import time
 from pathlib import Path
 
 from repro.experiments import (
-    runtimes, sharing, migration,
+    runtimes, sharing, migration, provisioning,
     sched_ablation, critpath_ablation, shard_ablation, llm_ablation,
     render_table,
 )
 
 EXPERIMENTS = [
-    "runtimes", "sharing", "migration", "sched", "critpath", "shard", "llm",
+    "runtimes", "sharing", "migration", "provisioning", "sched", "critpath",
+    "shard", "llm",
 ]
 
 
@@ -43,6 +45,9 @@ BASELINES = {
     "runtimes": (runtimes, "§VIII-B/C runtimes — Table II, Figs. 3-4"),
     "sharing": (sharing, "§VIII-D sharing — Tables III-IV, Figs. 5-7"),
     "migration": (migration, "§VIII-E migration — Fig. 8, Table V, ablations"),
+    "provisioning": (provisioning,
+                     "§II/§IV/§V-A provisioning — utilization, GPU count, "
+                     "GPU servers, faults"),
     "sched": (sched_ablation,
               "Scheduler ablation — queue wait by size class (s)"),
     "llm": (llm_ablation,
@@ -96,7 +101,7 @@ def run_one(name: str, seed: int, copies: int, trace_dir: str = None,
     elif name == "critpath":
         _print_rows(
             "Critical-path ablation — dominant resource by setting",
-            critpath_ablation.run(seed=seed, copies=min(copies, 3)),
+            critpath_ablation.run(seed=seed, copies=copies),
         )
     else:
         raise SystemExit(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")

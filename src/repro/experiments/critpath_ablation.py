@@ -21,10 +21,12 @@ median and the tail.  The point of the ablation is that the bottleneck
   queueing: still queue-bound, with the wait redistributed across
   function classes.
 
-Each setting also validates attribution coverage: the critical path must
-explain >= 95% of every root span's wall time.  :func:`run` ends with
-:func:`check`, which raises :class:`SimulationError` naming the first of
-these claims that its rows break.
+Each setting also validates attribution: its tracer keeps every span
+(the budget is sized from the plan), every invocation gets a critical
+path, and the path must explain >= 95% of every root span's wall time.
+:func:`run` ends with :func:`check`, which raises
+:class:`SimulationError` naming the first of these claims that its rows
+break.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ MIN_COVERAGE = 0.95
 #: small-footprint mix keeps the ablation fast while still exercising
 #: downloads, RPC traffic, and GPU queueing
 _WORKLOADS = ["kmeans", "face_identification", "nlp_qa"]
+#: trace budget per planned invocation: about twice what the costliest
+#: setting records (light_unopt, 9,515 spans per invocation at seed 0),
+#: so a dropped span means the workload changed, not that the run grew
+SPANS_PER_INVOCATION = 20_000
 
 
 def _light(seed: int, **over) -> DgsfConfig:
@@ -85,7 +91,9 @@ def run_settings(seed: int = 0, copies: int = 2,
         gap = 8.0 if load == "light" else 0.2
         plan = make_plan("exponential", seed=seed, copies=copies,
                          names=_WORKLOADS, mean_gap_s=gap)
-        result = run_scenario(factory(seed), plan).require_completed()
+        config = factory(seed).with_(
+            trace_max_spans=SPANS_PER_INVOCATION * len(plan))
+        result = run_scenario(config, plan).require_completed()
         rows = invocation_critpaths(
             result.deployment.tracer, result.invocations
         )
@@ -122,6 +130,8 @@ def run(seed: int = 0, copies: int = 2) -> list[dict]:
         table.append({
             "setting": name,
             "n": agg["count"],
+            "invocations": len(res["invocations"]),
+            "dropped": res["deployment"].tracer.dropped,
             "bottleneck_p50": top["p50"],
             "p50_share": round(p50_stats["share_p50"], 3),
             "bottleneck_p95": top["p95"],
@@ -146,6 +156,11 @@ def check(rows: list[dict]) -> None:
     _claim(set(cell) == set(SETTINGS),
            f"one row per setting ({sorted(cell)})")
     for name, row in cell.items():
+        _claim(row["dropped"] == 0,
+               f"{name}'s tracer drops no span ({row['dropped']} dropped)")
+        _claim(row["n"] == row["invocations"],
+               f"{name} attributes every invocation ({row['n']} of "
+               f"{row['invocations']})")
         _claim(row["coverage_min"] >= MIN_COVERAGE,
                f"{name} covers at least {MIN_COVERAGE:.0%} of every "
                f"invocation ({row['coverage_min']})")

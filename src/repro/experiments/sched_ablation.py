@@ -8,20 +8,27 @@ This quantifies the §VIII-D trade-off directly: FCFS's head-of-line
 blocking inflates the small class's tail, plain SFF starves the large
 class, and ``mqfq`` bounds the unfairness per function class.
 
-``sff_aged`` is meant to bound SFF's starvation, but no registered
-function carries a duration hint (``expected_duration_s``), so every
-request's starvation bound is zero and aged SFF degrades to exact FCFS:
-its rows in ``BENCH_sched.json`` equal the ``fcfs`` rows.  ROADMAP item 5
-plans hints derived from the calibrated workload params.
+No registered function carries a duration hint
+(``expected_duration_s``), so the SFF disciplines have nothing to sort
+by.  ``sff`` dispatches the first queued request that fits, which is
+first-fit backfilling, not shortest-first: what it gains over FCFS is
+the head-of-line blocking it skips.  ``sff_aged`` is meant to bound
+SFF's starvation, but every request's starvation bound is zero, so aged
+SFF degrades to exact FCFS: its rows in ``BENCH_sched.json`` equal the
+``fcfs`` rows.  ROADMAP item 5 plans hints derived from the calibrated
+workload params.
 
 :func:`sections` ends with :func:`check`, which raises
-:class:`SimulationError` naming the first of four claims the rows break:
-MQFQ's small-class p99 and max waits below FCFS's, SFF's small-class p99
-wait below FCFS's, and SFF's large-class max wait above its own
-small-class max wait.  The claims hold at the committed seed 3 with
-``copies`` 4 and at the CLI default ``copies`` 10 (seeds 0 and 3), but
-the small class's tail rests on few samples: at seed 0 with ``copies``
-4, MQFQ's small-class p99 wait is 23.23 s against FCFS's 18.62 s, on 4
+:class:`SimulationError` naming the first of seven claims the rows
+break: MQFQ's small-class p99 and max waits below FCFS's; SFF's
+small-class p99 wait below FCFS's and its large-class max wait above
+its own small-class max wait; and SFF's throughput against FCFS (a
+lower mean queue wait over all classes, a shorter makespan, and a
+small-class mean-wait gain at least the large class's gain minus 1 s).
+The claims hold at the committed seed 3 with ``copies`` 4 and at the CLI
+default ``copies`` 10 (seeds 0 and 3), but the small class's tail rests
+on few samples: at seed 0 with ``copies`` 4,
+MQFQ's small-class p99 wait is 23.23 s against FCFS's 18.62 s, on 4
 samples each, so that run fails its own check.
 """
 
@@ -129,3 +136,25 @@ def check(rows: list[dict]) -> None:
     claim(sff_large["max_wait_s"] > sff_small["max_wait_s"],
           "SFF's large-class max wait is above its small-class max wait",
           sff_large["max_wait_s"], sff_small["max_wait_s"])
+    # SFF buys throughput with that unfairness: less queueing over all
+    # classes and a shorter makespan than FCFS, and the small class gains
+    # the most
+    sff_mean, fcfs_mean = _mean_queue(rows, "sff"), _mean_queue(rows, "fcfs")
+    claim(sff_mean < fcfs_mean, "SFF's mean queue wait is below FCFS's",
+          sff_mean, fcfs_mean)
+    claim(sff_small["provider_e2e_s"] < fcfs["provider_e2e_s"],
+          "SFF's makespan is below FCFS's",
+          sff_small["provider_e2e_s"], fcfs["provider_e2e_s"])
+    small_gain = round(fcfs["mean_queue_s"] - sff_small["mean_queue_s"], 2)
+    large_gain = round(cell["fcfs", "large"]["mean_queue_s"]
+                       - sff_large["mean_queue_s"], 2)
+    claim(small_gain >= large_gain - 1.0,
+          "SFF's small-class mean-wait gain over FCFS is at least the "
+          "large class's gain minus 1 s", small_gain, large_gain)
+
+
+def _mean_queue(rows: list[dict], discipline: str) -> float:
+    """A discipline's mean queue wait over every class, weighted by ``n``."""
+    mine = [row for row in rows if row["discipline"] == discipline]
+    waited = sum(row["mean_queue_s"] * row["n"] for row in mine)
+    return round(waited / sum(row["n"] for row in mine), 2)

@@ -1,8 +1,8 @@
-"""Test/benchmark harness helpers: a fully brought-up DGSF world.
+"""Test and experiment harness helpers: a fully brought-up DGSF world.
 
 Lives in the package (rather than in ``tests/``) so both the test suite
-and the benchmark suite can import it regardless of how pytest was
-invoked."""
+and the experiment producers (:mod:`repro.experiments.migration`,
+:mod:`repro.experiments.provisioning`) can import it."""
 
 from __future__ import annotations
 

@@ -30,8 +30,6 @@ def test_config_validation():
         DgsfConfig(api_servers_per_gpu=0)
     with pytest.raises(ConfigurationError):
         DgsfConfig(policy="random")
-    with pytest.raises(ConfigurationError):
-        DgsfConfig(monitor_period_s=0)
 
 
 def test_config_with_override():

@@ -149,7 +149,7 @@ def test_summarize_invocations_counts_only_completed():
                      fault_plan=FaultPlan(server_crash_prob=1.0,
                                           crash_after_calls=(1, 20),
                                           max_crashes=2),
-                     rpc_timeout_s=20.0, heartbeat_timeout_s=2.0)
+                     rpc_timeout_s=20.0)
     invocations = run_scenario(
         cfg, make_plan("exponential", seed=7, copies=2)).invocations
     completed = [inv for inv in invocations if inv.status == "completed"]

@@ -23,8 +23,7 @@ def test_bringup_runs_in_parallel_not_serially():
 def test_idle_footprint_per_gpu():
     """Per GPU: one home API server (755 MB) + spare context (303 MB) +
     shared pool handles (456 MB per set)."""
-    world = make_world(DgsfConfig(num_gpus=1, api_servers_per_gpu=1,
-                                  pool_handles_per_gpu=1))
+    world = make_world(DgsfConfig(num_gpus=1, api_servers_per_gpu=1))
     used_mb = world.gpu_server.devices[0].mem_used / MB
     assert used_mb == pytest.approx(755 + 303 + 456, abs=10)
 
@@ -32,8 +31,7 @@ def test_idle_footprint_per_gpu():
 def test_schedulable_capacity_fits_largest_workload():
     """Face detection declares ~13.2 GB; it must fit on a GPU even with
     sharing-2 — the paper runs it in every mixed experiment."""
-    world = make_world(DgsfConfig(num_gpus=4, api_servers_per_gpu=2,
-                                  pool_handles_per_gpu=1))
+    world = make_world(DgsfConfig(num_gpus=4, api_servers_per_gpu=2))
     free = world.monitor.schedulable_free(0)
     assert free >= 13_500 * MB
 

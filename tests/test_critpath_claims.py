@@ -13,7 +13,8 @@ from repro.experiments import critpath_ablation
 def _rows():
     """Rows like ``critpath_ablation.run(seed=0, copies=2)``'s."""
     def row(setting, p50, share, wire):
-        return {"setting": setting, "n": 6, "bottleneck_p50": p50,
+        return {"setting": setting, "n": 6, "invocations": 6, "dropped": 0,
+                "bottleneck_p50": p50,
                 "p50_share": share, "bottleneck_p95": p50, "p95_share": 0.9,
                 "wire_p50_share": wire, "e2e_p50_s": 20.0, "e2e_p95_s": 50.0,
                 "coverage_min": 1.0}
@@ -36,6 +37,9 @@ def _set(setting, **fields):
 
 @pytest.mark.parametrize("doctor, claim", [
     (lambda rows: rows.pop(), "one row per setting"),
+    (_set("light_unopt", dropped=35_440),
+     "light_unopt's tracer drops no span"),
+    (_set("light_unopt", n=5), "light_unopt attributes every invocation"),
     (_set("heavy_mqfq", coverage_min=0.9),
      "heavy_mqfq covers at least 95% of every invocation"),
     (lambda rows: [r.update(bottleneck_p50="gpu_compute") for r in rows],
@@ -50,7 +54,7 @@ def _set(setting, **fields):
      "heavy_mqfq's median bottleneck is queue"),
     (_set("heavy_fcfs", p50_share=0.0),
      "heavy_fcfs's median queue share exceeds light_opt's"),
-], ids=["settings", "coverage", "bottleneck_moves", "light_opt",
+], ids=["settings", "dropped", "partial", "coverage", "bottleneck_moves", "light_opt",
         "light_unopt_wire", "heavy_fcfs", "heavy_mqfq", "queue_share"])
 def test_a_broken_claim_is_named(doctor, claim):
     rows = copy.deepcopy(_rows())

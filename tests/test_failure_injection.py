@@ -106,7 +106,7 @@ def test_launch_with_invalid_token_fails_at_server():
 def test_pool_exhaustion_falls_back_to_inline_creation():
     """When the shared handle pool runs dry, cudnnCreate still works —
     it just pays the full 1.2 s inline."""
-    world = make_world(DgsfConfig(num_gpus=1, pool_handles_per_gpu=1))
+    world = make_world(DgsfConfig(num_gpus=1))
     guest, server, rpc = world.attach_guest(declared_bytes=4 * GB)
     t0 = world.env.now
     h1 = world.drive(guest.cudnnCreate())   # server's own handle: fast

@@ -210,7 +210,6 @@ def chaos_config(seed: int) -> DgsfConfig:
         rpc_timeout_s=20.0,
         rpc_max_retries=2,
         rpc_retry_backoff_s=0.5,
-        heartbeat_timeout_s=2.0,
     )
 
 
